@@ -21,6 +21,25 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps \
   -p aequus-rms -p aequus-sim -p aequus-workload -p aequus-stats \
   -p aequus-store -p aequus-bench
 
+# Output-digest gate: every benchmark workload must reproduce the output
+# digest recorded for seeds 42 and 1729 in perfbench/src/digest.rs (cluster
+# counts, every metrics sample, the final usage views, the alert stream), so
+# a change that moves any simulated output fails here, not only in the
+# benchmark. `"correct": true` on the JSON line means no run failed.
+for workload in paper_testbed nation_mid chaos_wal; do
+  for seed in 42 1729; do
+    line=$(cargo run -q --release --offline --manifest-path perfbench/Cargo.toml \
+      --bin perfbench -- --workload "$workload" --seed "$seed" --seconds 1 --trace 0 | tail -n 1)
+    case "$line" in
+      *'"correct": true'*) ;;
+      *)
+        echo "digest gate: $workload seed $seed is not correct: $line" >&2
+        exit 1
+        ;;
+    esac
+  done
+done
+
 # Telemetry overhead smoke check: the instrumented dispatch hot path must
 # stay within 5% of its baseline in all three modes — metrics-only vs
 # disabled, and tracing+provenance enabled-but-unsampled / full-capture vs

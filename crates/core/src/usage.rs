@@ -164,6 +164,12 @@ impl UsageHistogram {
             .unwrap_or(0.0)
     }
 
+    /// Every user's raw (undecayed) total usage, in user order — the same
+    /// sums as [`UsageHistogram::raw_usage`], without a lookup per user.
+    pub fn raw_usages(&self) -> impl Iterator<Item = (&GridUser, f64)> {
+        self.slots.iter().map(|(u, s)| (u, s.values().sum()))
+    }
+
     /// Total charge recorded across all users (conservation invariant:
     /// equals the sum of `raw_usage` over all users).
     pub fn total_recorded(&self) -> f64 {

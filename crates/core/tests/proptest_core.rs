@@ -322,6 +322,18 @@ proptest! {
     }
 
     #[test]
+    fn user_shares_walk_matches_absolute_share_bitwise(tree in random_tree()) {
+        let walked = tree.user_shares();
+        let users = tree.users();
+        prop_assert_eq!(walked.len(), users.len());
+        for ((path, user), (walked_user, share)) in users.iter().zip(&walked) {
+            prop_assert_eq!(user, walked_user);
+            let direct = tree.absolute_share(path).unwrap();
+            prop_assert_eq!(share.to_bits(), direct.to_bits(), "{}", path);
+        }
+    }
+
+    #[test]
     fn combined_vector_blend_laws(
         elems in proptest::collection::vec(0.0..9999.0f64, 1..6),
         age in 0.0..1.0f64,

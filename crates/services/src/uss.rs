@@ -1196,17 +1196,32 @@ impl Uss {
     /// merged remote charge. The chaos suite's convergence invariant
     /// compares these views across sites.
     pub fn grid_view(&self) -> BTreeMap<GridUser, f64> {
-        let mut view: BTreeMap<GridUser, f64> = self
-            .local
-            .users()
-            .map(|u| (u.clone(), self.local.raw_usage(u)))
-            .collect();
-        if self.mode.reads_global() && !self.remote_suppressed {
-            for user in self.remote.users() {
-                *view.entry(user.clone()).or_insert(0.0) += self.remote.raw_usage(user);
+        self.grid_usage().map(|(u, v)| (u.clone(), v)).collect()
+    }
+
+    /// [`Uss::grid_view`] as a stream in user order, without building the
+    /// map: one merge walk of the local and remote histograms. Each value
+    /// is the user's local sum, `local + remote` where both hold the user,
+    /// or `0.0 + remote` for a remote-only user.
+    pub fn grid_usage(&self) -> impl Iterator<Item = (&GridUser, f64)> + '_ {
+        let reads_remote = self.mode.reads_global() && !self.remote_suppressed;
+        let mut local = self.local.raw_usages().peekable();
+        let mut remote = reads_remote
+            .then(|| self.remote.raw_usages())
+            .into_iter()
+            .flatten()
+            .peekable();
+        std::iter::from_fn(move || match (local.peek(), remote.peek()) {
+            (Some(&(l, _)), Some(&(r, _))) if l < r => local.next(),
+            (Some(&(l, _)), Some(&(r, _))) if l == r => {
+                let (user, lv) = local.next()?;
+                let (_, rv) = remote.next()?;
+                Some((user, lv + rv))
             }
-        }
-        view
+            (_, Some(_)) => remote.next().map(|(user, rv)| (user, 0.0 + rv)),
+            (Some(_), None) => local.next(),
+            (None, None) => None,
+        })
     }
 
     /// Raw local charge of one user (test/metrics access).
@@ -1484,8 +1499,13 @@ mod tests {
     // --- reliability layer ---
 
     fn reliable_pair() -> (Uss, Uss) {
+        reliable_pair_with(ParticipationMode::Full)
+    }
+
+    /// A reliable pair whose second end runs in participation mode `mode_b`.
+    fn reliable_pair_with(mode_b: ParticipationMode) -> (Uss, Uss) {
         let mut a = Uss::new(SiteId(0), ParticipationMode::Full, 100.0);
-        let mut b = Uss::new(SiteId(1), ParticipationMode::Full, 100.0);
+        let mut b = Uss::new(SiteId(1), mode_b, 100.0);
         let peers = [SiteId(0), SiteId(1)];
         a.set_peers(&peers, &peers);
         b.set_peers(&peers, &peers);
@@ -1722,6 +1742,84 @@ mod tests {
         drain(&mut a, &mut b, msgs, 400.0);
         assert!((b.remote_usage_of(&GridUser::new("u")) - 120.0).abs() < 1e-9);
         assert!(a.retries() > 0);
+    }
+
+    /// The map-building `grid_view` the streamed walk replaced: the oracle
+    /// the walk must match bit for bit.
+    fn reference_grid_view(uss: &Uss) -> BTreeMap<GridUser, f64> {
+        let mut view: BTreeMap<GridUser, f64> = uss
+            .local
+            .users()
+            .map(|u| (u.clone(), uss.local.raw_usage(u)))
+            .collect();
+        if uss.mode.reads_global() && !uss.remote_suppressed {
+            for user in uss.remote.users() {
+                *view.entry(user.clone()).or_insert(0.0) += uss.remote.raw_usage(user);
+            }
+        }
+        view
+    }
+
+    /// Site `b` of a pair holding local-only, remote-only and shared users
+    /// with inexact (non-dyadic) per-slot charges.
+    fn mixed_pair(mode_b: ParticipationMode) -> (Uss, Uss) {
+        let (mut a, mut b) = reliable_pair_with(mode_b);
+        a.ingest(&rec(0, "shared", 13.7, 291.3));
+        a.ingest(&rec(0, "remote_only", 0.1, 177.7));
+        a.ingest(&rec(0, "shared", 101.9, 133.3));
+        b.ingest(&rec(1, "shared", 7.3, 245.1));
+        b.ingest(&rec(1, "local_only", 33.3, 299.9));
+        a.publish(500.0);
+        let msgs = a.poll(500.0);
+        drain(&mut a, &mut b, msgs, 500.0);
+        (a, b)
+    }
+
+    fn assert_grid_view_matches_reference(uss: &Uss) -> BTreeMap<GridUser, f64> {
+        let streamed = uss.grid_view();
+        let reference = reference_grid_view(uss);
+        assert_eq!(
+            streamed.keys().collect::<Vec<_>>(),
+            reference.keys().collect::<Vec<_>>()
+        );
+        for (user, v) in &streamed {
+            assert_eq!(v.to_bits(), reference[user].to_bits(), "{user}");
+        }
+        streamed
+    }
+
+    #[test]
+    fn streamed_grid_view_matches_map_building_path() {
+        let shared = GridUser::new("shared");
+        let remote_only = GridUser::new("remote_only");
+
+        // Reads global: remote-only users join, shared users sum both sides.
+        let (_, b) = mixed_pair(ParticipationMode::Full);
+        assert!(b.remote_total() > 0.0, "remote data arrived");
+        let view = assert_grid_view_matches_reference(&b);
+        assert!(view.contains_key(&remote_only));
+        assert!(view[&shared] > b.local_usage_of(&shared));
+
+        // Local-only participation: the view is the site's own charge.
+        let (_, b) = mixed_pair(ParticipationMode::LocalOnly);
+        let view = assert_grid_view_matches_reference(&b);
+        assert!(!view.contains_key(&remote_only));
+        assert_eq!(view[&shared], b.local_usage_of(&shared));
+
+        // Stale policy: a silent peer suppresses the remote side.
+        let (_, mut b) = mixed_pair(ParticipationMode::Full);
+        b.set_stale_policy(StalePolicy::LocalOnly {
+            max_staleness_s: 100.0,
+        });
+        b.update_staleness(5_000.0);
+        assert!(b.remote_suppressed());
+        let view = assert_grid_view_matches_reference(&b);
+        assert!(!view.contains_key(&remote_only));
+        assert_eq!(
+            b.grid_usage().count(),
+            view.len(),
+            "the walk yields each user once"
+        );
     }
 
     #[test]

@@ -94,7 +94,7 @@ pub struct ShardSample {
     /// This site's raw per-user grid-usage view, when it participates in the
     /// divergence metric (reads global data and is not crashed); `None`
     /// otherwise.
-    pub usage_view: Option<BTreeMap<GridUser, f64>>,
+    pub usage_view: Option<UsageView>,
     /// Cumulative gossip bytes this site has put on the wire.
     pub gossip_bytes: u64,
     /// This site's telemetry registry snapshot, when telemetry is on.
@@ -102,6 +102,51 @@ pub struct ShardSample {
     /// This site's per-link gossip health observations (empty unless the
     /// scenario runs health monitoring).
     pub link_health: Vec<LinkObservation>,
+}
+
+/// One site's raw per-user grid-usage view, laid out against the run's
+/// shared sorted user index (`SampleSpec::view_index`): a dense column per
+/// indexed user plus a small sorted side list for users outside the index.
+/// Every view of one run has the same number of columns, so the divergence
+/// is a column-wise sweep with no per-user key lookups.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct UsageView {
+    /// Usage of `index[i]` in column `i`; `0.0` where the site holds none.
+    dense: Vec<f64>,
+    /// Users outside the index with their usage, in user order.
+    extra: Vec<(GridUser, f64)>,
+}
+
+impl UsageView {
+    /// Lay out a user-ordered `(user, usage)` stream (such as
+    /// `Uss::grid_usage`) against the sorted, deduplicated `index` with one
+    /// merge walk.
+    pub fn from_sorted<'a>(
+        index: &[GridUser],
+        usage: impl IntoIterator<Item = (&'a GridUser, f64)>,
+    ) -> Self {
+        let mut dense = vec![0.0; index.len()];
+        let mut extra = Vec::new();
+        let mut col = 0;
+        for (user, value) in usage {
+            while col < index.len() && index[col] < *user {
+                col += 1;
+            }
+            if col < index.len() && index[col] == *user {
+                dense[col] = value;
+            } else {
+                extra.push((user.clone(), value));
+            }
+        }
+        Self { dense, extra }
+    }
+
+    /// Usage of a user outside the index (`0.0` when absent).
+    fn extra_usage(&self, user: &GridUser) -> f64 {
+        self.extra
+            .binary_search_by(|(u, _)| u.cmp(user))
+            .map_or(0.0, |k| self.extra[k].1)
+    }
 }
 
 impl Sample {
@@ -119,7 +164,7 @@ impl Sample {
         let mut fcs_full = 0u64;
         let mut fcs_inc = 0u64;
         let mut fcs_nodes = 0u64;
-        let mut views: Vec<BTreeMap<GridUser, f64>> = Vec::new();
+        let mut views: Vec<UsageView> = Vec::new();
         let mut gossip_bytes = 0u64;
         let mut site_telemetry = Vec::new();
         let mut link_health = Vec::new();
@@ -164,19 +209,44 @@ impl Sample {
 }
 
 /// Largest per-user spread (max − min) across the given usage views; `0`
-/// when fewer than two views are comparable.
-fn view_divergence(views: &[BTreeMap<GridUser, f64>]) -> f64 {
+/// when fewer than two views are comparable. A user a view lacks reads
+/// `0.0` there.
+///
+/// Each user's spread takes the same `min`/`max` steps over the views in
+/// site order as a lookup per user would. Spreads are non-negative (view
+/// values are sums of positive charges), so the `max` over users is exact
+/// in any order, and an indexed user no view holds adds a spread of `0.0`,
+/// which never moves it: the result is bit-identical to the per-user
+/// `BTreeMap` walk over the union of keys.
+fn view_divergence(views: &[UsageView]) -> f64 {
     if views.len() < 2 {
         return 0.0;
     }
-    let mut divergence = 0.0f64;
-    let users: std::collections::BTreeSet<&GridUser> =
-        views.iter().flat_map(|v| v.keys()).collect();
-    for user in users {
+    let columns = views[0].dense.len();
+    let mut lo = vec![f64::INFINITY; columns];
+    let mut hi = vec![f64::NEG_INFINITY; columns];
+    for view in views {
+        assert_eq!(view.dense.len(), columns, "views share one user index");
+        for ((lo, hi), &v) in lo.iter_mut().zip(&mut hi).zip(&view.dense) {
+            *lo = lo.min(v);
+            *hi = hi.max(v);
+        }
+    }
+    let mut divergence = lo
+        .iter()
+        .zip(&hi)
+        .fold(0.0f64, |d, (lo, hi)| d.max(hi - lo));
+    let mut extra: Vec<&GridUser> = views
+        .iter()
+        .flat_map(|v| v.extra.iter().map(|(u, _)| u))
+        .collect();
+    extra.sort_unstable();
+    extra.dedup();
+    for user in extra {
         let mut lo = f64::INFINITY;
         let mut hi = f64::NEG_INFINITY;
         for view in views {
-            let v = view.get(user).copied().unwrap_or(0.0);
+            let v = view.extra_usage(user);
             lo = lo.min(v);
             hi = hi.max(v);
         }
@@ -439,6 +509,97 @@ impl MetricsLog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// A view laid out against the index `["a"]`.
+    fn view_of(usage: &[(&str, f64)]) -> UsageView {
+        let usage: Vec<(GridUser, f64)> =
+            usage.iter().map(|&(u, v)| (GridUser::new(u), v)).collect();
+        UsageView::from_sorted(&[GridUser::new("a")], usage.iter().map(|(u, v)| (u, *v)))
+    }
+
+    /// The per-user `BTreeMap` divergence the dense sweep replaced: the
+    /// oracle it must match bit for bit.
+    fn reference_view_divergence(views: &[BTreeMap<GridUser, f64>]) -> f64 {
+        if views.len() < 2 {
+            return 0.0;
+        }
+        let mut divergence = 0.0f64;
+        let users: std::collections::BTreeSet<&GridUser> =
+            views.iter().flat_map(|v| v.keys()).collect();
+        for user in users {
+            let mut lo = f64::INFINITY;
+            let mut hi = f64::NEG_INFINITY;
+            for view in views {
+                let v = view.get(user).copied().unwrap_or(0.0);
+                lo = lo.min(v);
+                hi = hi.max(v);
+            }
+            divergence = divergence.max(hi - lo);
+        }
+        divergence
+    }
+
+    /// Random multi-site views over twelve users: per site `None` (crashed
+    /// or not reading global data) one time in five, else a map holding a
+    /// random subset of the users; plus which users the index holds. Usage
+    /// values include exact zeros and inexact fractions.
+    fn views_strategy() -> impl Strategy<Value = (Vec<bool>, Vec<Option<BTreeMap<GridUser, f64>>>)>
+    {
+        let cell = (0u8..5, 0u8..7, 0.0..5_000.0f64);
+        let site = (0u8..5, proptest::collection::vec(cell, 12)).prop_map(|(live, cells)| {
+            (live > 0).then(|| {
+                cells
+                    .into_iter()
+                    .enumerate()
+                    .filter(|(_, (held, _, _))| *held > 1)
+                    .map(|(i, (_, zero, v))| {
+                        (
+                            GridUser::new(format!("u{i:02}")),
+                            if zero == 0 { 0.0 } else { v },
+                        )
+                    })
+                    .collect()
+            })
+        });
+        (
+            proptest::collection::vec(0u8..2, 12)
+                .prop_map(|bits| bits.into_iter().map(|b| b == 1).collect()),
+            proptest::collection::vec(site, 1..6),
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn dense_divergence_matches_btreemap_reference((indexed, sites) in views_strategy()) {
+            let index: Vec<GridUser> = (0..12)
+                .filter(|&i| indexed[i])
+                .map(|i| GridUser::new(format!("u{i:02}")))
+                .collect();
+            let fragments: Vec<ShardSample> = sites
+                .iter()
+                .map(|site| ShardSample {
+                    usage_view: site
+                        .as_ref()
+                        .map(|m| UsageView::from_sorted(&index, m.iter().map(|(u, v)| (u, *v)))),
+                    ..ShardSample::default()
+                })
+                .collect();
+            for (frag, site) in fragments.iter().zip(&sites) {
+                if let (Some(view), Some(map)) = (&frag.usage_view, site) {
+                    prop_assert_eq!(view.dense.len(), index.len());
+                    let outside = map.keys().filter(|u| !index.contains(u)).count();
+                    prop_assert_eq!(view.extra.len(), outside);
+                }
+            }
+            let live: Vec<BTreeMap<GridUser, f64>> = sites.into_iter().flatten().collect();
+            let sample = Sample::assemble(0.0, fragments, 4);
+            let expected = reference_view_divergence(&live);
+            prop_assert_eq!(sample.usage_view_divergence.to_bits(), expected.to_bits());
+        }
+    }
 
     fn sample(t: f64, share_a: f64) -> Sample {
         let mut users = BTreeMap::new();
@@ -589,7 +750,7 @@ mod tests {
             fcs_full_refreshes: 2,
             fcs_incremental_refreshes: 5,
             fcs_nodes_recomputed: 9,
-            usage_view: Some([(GridUser::new("a"), 100.0)].into_iter().collect()),
+            usage_view: Some(view_of(&[("a", 100.0)])),
             gossip_bytes: 70,
             telemetry: None,
             link_health: vec![],
@@ -603,7 +764,7 @@ mod tests {
             fcs_full_refreshes: 1,
             fcs_incremental_refreshes: 3,
             fcs_nodes_recomputed: 4,
-            usage_view: Some([(GridUser::new("a"), 94.0)].into_iter().collect()),
+            usage_view: Some(view_of(&[("a", 94.0)])),
             gossip_bytes: 30,
             ..ShardSample::default()
         };
@@ -624,7 +785,7 @@ mod tests {
     #[test]
     fn assemble_divergence_zero_with_single_view() {
         let f = ShardSample {
-            usage_view: Some([(GridUser::new("a"), 50.0)].into_iter().collect()),
+            usage_view: Some(view_of(&[("a", 50.0)])),
             ..ShardSample::default()
         };
         let s = Sample::assemble(0.0, vec![f, ShardSample::default()], 4);

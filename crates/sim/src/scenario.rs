@@ -154,10 +154,13 @@ pub struct GridScenario {
     /// How sites map onto workers when `num_threads > 1`. Placement never
     /// affects results, only locality.
     pub placement: ShardPlacement,
-    /// Cap on how many policy users the per-sample fairshare readout walks
-    /// (`None` = all). Nation-scale runs with 100k+ users would otherwise
-    /// spend the whole run inside metrics sampling; the first `cap` users in
-    /// policy order still give the figures their tracked series.
+    /// Cap on how many policy users the run tracks (`None` = all): the
+    /// first `cap` users in policy order. [`GridScenario::tracked_users`]
+    /// honours it, so the per-sample fairshare readout, the metrics log's
+    /// policy targets, the per-user SLO rules and the flight recorder all
+    /// watch the same users. Nation-scale runs with 100k+ users would
+    /// otherwise spend the whole run inside metrics sampling. The
+    /// cross-site usage-view divergence still covers every user.
     pub metrics_user_cap: Option<usize>,
     /// Continuous-profiling mode: per-shard stage accounting, barrier-wait
     /// attribution, gossip bytes-on-wire, and the Chrome-trace / folded
@@ -353,7 +356,8 @@ impl GridScenario {
         self
     }
 
-    /// Cap the per-sample fairshare readout to the first `cap` policy users.
+    /// Track only the first `cap` policy users (see
+    /// [`GridScenario::metrics_user_cap`]).
     pub fn with_metrics_user_cap(mut self, cap: usize) -> Self {
         self.metrics_user_cap = Some(cap);
         self
@@ -398,16 +402,17 @@ impl GridScenario {
         self
     }
 
-    /// The users the metrics track: every policy leaf with its *absolute*
-    /// target share (product of normalized shares along the path).
+    /// The users the run tracks: each policy leaf with its *absolute*
+    /// target share (product of normalized shares along the path), in
+    /// policy order, cut at `metrics_user_cap`. One walk of the policy tree.
     pub fn tracked_users(&self) -> Vec<(String, f64)> {
-        self.policy
-            .users()
+        let mut users = self.policy.user_shares();
+        if let Some(cap) = self.metrics_user_cap {
+            users.truncate(cap);
+        }
+        users
             .into_iter()
-            .map(|(path, user)| {
-                let share = self.policy.absolute_share(&path).unwrap_or(0.0);
-                (user.as_str().to_string(), share)
-            })
+            .map(|(user, share)| (user.0, share))
             .collect()
     }
 }

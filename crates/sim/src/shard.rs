@@ -14,7 +14,7 @@
 use crate::cluster::{Rms, SimCluster};
 use crate::event::{Event, EventQueue};
 use crate::faults::FaultRng;
-use crate::metrics::{ShardSample, UserSample};
+use crate::metrics::{ShardSample, UsageView, UserSample};
 use crate::scenario::GridScenario;
 use aequus_core::policy::PolicyTree;
 use aequus_core::{EntityPath, GridUser};
@@ -76,32 +76,34 @@ impl ShardStats {
     }
 }
 
-/// What the per-sample fairshare readout walks, shared read-only by every
-/// shard: the tracked users (per-site priorities) and the reference site's
-/// policy leaves (absolute usage shares). Both lists respect the scenario's
-/// `metrics_user_cap`.
+/// What the per-sample readout walks, built once per run and shared
+/// read-only by every shard: the tracked policy leaves (per-site priorities
+/// and the reference site's absolute usage shares) and the sorted user
+/// index every usage view is laid out against. The leaves are the users of
+/// [`GridScenario::tracked_users`] (policy order, cut at
+/// `metrics_user_cap`); the index holds every policy user.
 #[derive(Debug)]
 pub struct SampleSpec {
-    /// Tracked user names (policy leaves), capped.
-    pub tracked: Vec<String>,
-    /// Reference-site readout: `(path, user)` per policy leaf, capped.
+    /// Tracked policy leaves: `(path, user)`, capped.
     pub user_paths: Vec<(EntityPath, GridUser)>,
+    /// Every policy user, sorted and deduplicated: the dense columns of
+    /// each [`crate::metrics::UsageView`].
+    pub view_index: Vec<GridUser>,
 }
 
 impl SampleSpec {
     /// Build from a scenario's policy and cap.
     pub fn from_scenario(scenario: &GridScenario) -> Self {
         let mut user_paths: Vec<(EntityPath, GridUser)> = scenario.policy.users();
+        let mut view_index: Vec<GridUser> = user_paths.iter().map(|(_, u)| u.clone()).collect();
+        view_index.sort_unstable();
+        view_index.dedup();
         if let Some(cap) = scenario.metrics_user_cap {
             user_paths.truncate(cap);
         }
-        let tracked = user_paths
-            .iter()
-            .map(|(_, u)| u.as_str().to_string())
-            .collect();
         Self {
-            tracked,
             user_paths,
+            view_index,
         }
     }
 }
@@ -330,11 +332,11 @@ impl Shard {
             .fairshare_tree()
             .map(|tree| {
                 self.spec
-                    .tracked
+                    .user_paths
                     .iter()
-                    .filter_map(|name| {
-                        tree.user_priority(&GridUser::new(name.clone()))
-                            .map(|p| (name.clone(), p))
+                    .filter_map(|(_, user)| {
+                        tree.user_priority(user)
+                            .map(|p| (user.as_str().to_string(), p))
                     })
                     .collect()
             })
@@ -347,7 +349,7 @@ impl Shard {
             && self.scenario.clusters[self.index]
                 .participation
                 .reads_global())
-        .then(|| self.cluster.site.uss.grid_view());
+        .then(|| UsageView::from_sorted(&self.spec.view_index, self.cluster.site.uss.grid_usage()));
         let link_health = if self.scenario.health.is_some() {
             let n = self.scenario.clusters.len();
             let mut rows = self.cluster.site.uss.link_stats(now);
@@ -522,6 +524,9 @@ mod tests {
         s.metrics_user_cap = Some(2);
         let spec = SampleSpec::from_scenario(&s);
         assert_eq!(spec.user_paths.len(), 2);
-        assert_eq!(spec.tracked.len(), 2);
+        let tracked: Vec<String> = s.tracked_users().into_iter().map(|(u, _)| u).collect();
+        let leaves: Vec<&str> = spec.user_paths.iter().map(|(_, u)| u.as_str()).collect();
+        assert_eq!(tracked, leaves, "one capped user list");
+        assert_eq!(spec.view_index.len(), 3, "the view index stays uncapped");
     }
 }

@@ -23,7 +23,7 @@ fn base_seed() -> u64 {
 /// The chaos suite's 3-site grid: fast cadences so faults land between
 /// publishes, small retention so outages overflow into resync traffic.
 fn scenario(seed: u64) -> GridScenario {
-    let mut sc = GridScenario::national_testbed(
+    scenario_with(
         &[
             ("U65", 0.6525),
             ("U30", 0.3049),
@@ -31,7 +31,12 @@ fn scenario(seed: u64) -> GridScenario {
             ("Uoth", 0.0140),
         ],
         seed,
-    );
+    )
+}
+
+/// The chaos suite's 3-site grid over the given policy shares.
+fn scenario_with(shares: &[(&str, f64)], seed: u64) -> GridScenario {
+    let mut sc = GridScenario::national_testbed(shares, seed);
     sc.clusters.truncate(3);
     for c in &mut sc.clusters {
         c.nodes = 4;
@@ -130,6 +135,53 @@ fn fault_free_run_fires_no_alerts() {
     // actually flowed on each.
     assert_eq!(report.links.len(), 6);
     assert!(report.links.iter().all(|l| l.bytes > 0 && l.msgs > 0));
+}
+
+#[test]
+fn capped_fault_free_run_fires_no_alerts() {
+    // Twelve equal-share users, only the first three tracked. The per-user
+    // SLO rules must cover the same users as the capped samples: a rule for
+    // an untracked user would read a 0.0 share on a healthy grid and fire.
+    let names: Vec<String> = (0..12).map(|i| format!("u{i:02}")).collect();
+    let shares: Vec<(&str, f64)> = names.iter().map(|n| (n.as_str(), 1.0 / 12.0)).collect();
+    // Two hours of steady round-robin load: long enough for a 0.0 share to
+    // outlast the default one-hour starvation age.
+    let trace = Trace::new(
+        (0..480)
+            .map(|i| TraceJob {
+                user: names[i % names.len()].clone(),
+                submit_s: i as f64 * 15.0,
+                duration_s: 40.0,
+                cores: 1,
+            })
+            .collect(),
+    );
+    let run = |cap: Option<usize>| {
+        let mut sc = scenario_with(&shares, base_seed()).with_health(SloConfig::default());
+        if let Some(cap) = cap {
+            sc = sc.with_metrics_user_cap(cap);
+        }
+        GridSimulation::new(sc).run(&trace, 1800.0)
+    };
+    let uncapped = run(None);
+    assert!(
+        uncapped.alerts.is_empty(),
+        "uncapped baseline should be silent, got:\n{}",
+        alerts_to_jsonl(&uncapped.alerts)
+    );
+    let capped = run(Some(3));
+    assert!(
+        capped.alerts.is_empty(),
+        "capped fault-free run should be silent, got:\n{}",
+        alerts_to_jsonl(&capped.alerts)
+    );
+    let last = capped.metrics.samples().last().expect("samples");
+    assert_eq!(last.users.len(), 3, "samples carry the capped users");
+    assert_eq!(
+        capped.metrics.policy.len(),
+        3,
+        "targets cover the same users"
+    );
 }
 
 #[test]
