@@ -7,8 +7,8 @@
 //! Usage:
 //!
 //! * `bench_diff` — compare the two newest `BENCH_*.json` in the working
-//!   directory (current vs previous). Fewer than two snapshots passes with
-//!   a note, so the gate bootstraps cleanly.
+//!   directory by their `"pr"` field (current vs previous). Fewer than two
+//!   snapshots passes with a note, so the gate bootstraps cleanly.
 //! * `bench_diff PREV.json CUR.json` — compare an explicit pair.
 //! * `bench_diff --selftest` — run the attribution machinery end to end:
 //!   the same serial scenario is profiled twice, the second run with a
@@ -17,36 +17,14 @@
 //!   `barrier.wait`. Exits non-zero if the attribution misses — this is the
 //!   CI proof that a real scheduling stall would be named, not just noticed.
 
-use aequus_bench::snapshot::{attribute_regression, compare, sibling_profile, skip_scaling_keys};
+use aequus_bench::snapshot::{
+    attribute_regression, compare, sibling_profile, skip_scaling_keys, snapshots,
+};
 use aequus_bench::{uniform_trace, ScenarioBuilder};
 use aequus_sim::GridSimulation;
+use aequus_telemetry::export::JsonValue;
 use aequus_telemetry::ProfileMode;
 use aequus_workload::users::baseline_policy_shares;
-
-/// The two newest `BENCH_*.json` files by modification time:
-/// `(previous, current)` as `(name, contents)` pairs.
-fn newest_pair() -> Option<[(String, String); 2]> {
-    let mut candidates: Vec<(std::time::SystemTime, String)> = std::fs::read_dir(".")
-        .ok()?
-        .flatten()
-        .filter_map(|e| {
-            let name = e.file_name().into_string().ok()?;
-            if name.starts_with("BENCH_") && name.ends_with(".json") {
-                Some((e.metadata().ok()?.modified().ok()?, name))
-            } else {
-                None
-            }
-        })
-        .collect();
-    candidates.sort();
-    let (_, cur) = candidates.pop()?;
-    let (_, prev) = candidates.pop()?;
-    let read = |name: String| -> Option<(String, String)> {
-        let body = std::fs::read_to_string(&name).ok()?;
-        Some((name, body))
-    };
-    Some([read(prev)?, read(cur)?])
-}
 
 /// The selftest scenario: the chaos suite's compressed 3-site grid, serial,
 /// fully profiled. Serial keeps the injected stall's accounting exact (the
@@ -98,13 +76,16 @@ fn main() {
         let read = |name: &str| {
             let body = std::fs::read_to_string(name)
                 .unwrap_or_else(|e| panic!("read snapshot {name}: {e}"));
-            (name.to_string(), body)
+            let doc = JsonValue::parse(&body)
+                .unwrap_or_else(|| panic!("snapshot {name} is not valid JSON"));
+            (name.to_string(), doc)
         };
         [read(p), read(c)]
     } else {
-        match newest_pair() {
-            Some(pair) => pair,
-            None => {
+        let mut all = snapshots(std::path::Path::new("."));
+        match (all.pop(), all.pop()) {
+            (Some(cur), Some(prev)) => [prev, cur],
+            _ => {
                 println!("OK: fewer than two BENCH_*.json snapshots; nothing to diff");
                 return;
             }

@@ -8,8 +8,8 @@
 //! matrix's utilization/slowdown/convergence/predictor-accuracy headline
 //! cells) plus `PROFILE_PR10.json`, the
 //! continuous-profiler run profile that `bench_diff` uses to attribute
-//! wall-clock regressions to a pipeline stage. With `--check` it compares each key against the most
-//! recent previous `BENCH_*.json` in the working directory (shared gate
+//! wall-clock regressions to a pipeline stage. With `--check` it compares each key against the
+//! previous `BENCH_*.json` in the working directory, by `"pr"` field (shared gate
 //! table: [`aequus_bench::snapshot`]) and exits non-zero on a regression
 //! beyond tolerance. A missing previous snapshot (or a key absent from it)
 //! passes with a note, so the gate bootstraps cleanly.
@@ -24,7 +24,7 @@
 //!
 //! Usage: `bench_snapshot [JOBS] [--check]` (default 4,000 jobs).
 
-use aequus_bench::snapshot::{compare, host_cores, previous_snapshot, skip_scaling_keys};
+use aequus_bench::snapshot::{compare, host_cores, skip_scaling_keys, snapshots};
 use aequus_bench::{
     baseline_trace, jobs_arg, run_gossip_sweep, run_health_chaos, run_matrix,
     run_prediction_comparison, run_recovery_sweep, run_scale_sweep, run_with_faults,
@@ -33,6 +33,7 @@ use aequus_bench::{
 use aequus_core::projection::ProjectionKind;
 use aequus_rms::DispatchOrder;
 use aequus_sim::{GridScenario, GridSimulation, SimResult};
+use aequus_telemetry::export::JsonValue;
 use aequus_workload::users::baseline_policy_shares;
 use std::time::Instant;
 
@@ -255,12 +256,16 @@ fn main() {
     if !check {
         return;
     }
-    let Some((prev_name, prev)) = previous_snapshot(OUT) else {
+    let cur = JsonValue::parse(&json).expect("benchmark snapshot is valid JSON");
+    let previous = snapshots(std::path::Path::new("."))
+        .into_iter()
+        .rfind(|(name, _)| name != OUT);
+    let Some((prev_name, prev)) = previous else {
         println!("OK: no previous BENCH_*.json to compare against; gate passes");
         return;
     };
     println!("comparing against {prev_name}");
-    let failures = compare(&prev, &json, skip_scaling_keys(&prev, &json));
+    let failures = compare(&prev, &cur, skip_scaling_keys(&prev, &cur));
     for f in &failures {
         eprintln!(
             "  FAIL {}: {:?} -> {:?} exceeds tolerance x{}",

@@ -1,14 +1,16 @@
 //! Shared machinery for the benchmark snapshots (`BENCH_*.json`) and their
 //! regression gates: the gate table with direction-aware tolerances, the
-//! flat-JSON key extractor, previous-snapshot discovery, the comparison
-//! itself, and profile-based regression attribution.
+//! snapshot key reader, snapshot discovery ordered by PR number, the
+//! comparison itself, and profile-based regression attribution.
 //!
 //! Both `bench_snapshot` (writes this PR's snapshot and self-gates) and
 //! `bench_diff` (compares any two snapshots and attributes regressions to
 //! the profiler stage whose wall share moved most) build on this module, so
 //! the two binaries can never disagree about what counts as a regression.
 
+use aequus_telemetry::export::JsonValue;
 use aequus_telemetry::RunProfile;
+use std::path::Path;
 
 /// Which way a metric regresses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -109,37 +111,36 @@ pub fn host_cores() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
-/// Pull the numeric value of `"key": <number>` out of a flat JSON document
-/// without a parser; every snapshot key is globally unique by construction.
-pub fn extract(json: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let at = json.find(&needle)? + needle.len();
-    let rest = json[at..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || "+-.eE".contains(c)))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
+/// The numeric value of top-level `key` in a parsed snapshot document.
+pub fn extract(doc: &JsonValue, key: &str) -> Option<f64> {
+    doc.get(key)?.as_f64()
 }
 
-/// Newest `BENCH_*.json` in the working directory other than `exclude`,
-/// by modification time: `(file name, contents)`.
-pub fn previous_snapshot(exclude: &str) -> Option<(String, String)> {
-    let mut candidates: Vec<(std::time::SystemTime, String)> = std::fs::read_dir(".")
-        .ok()?
+/// Every `BENCH_*.json` in `dir` as `(file name, parsed document)`, oldest
+/// first by the `"pr"` field inside each file (ties by name). Modification
+/// times are not used: a fresh checkout gives every file the same one.
+/// Files that do not parse or carry no `"pr"` are skipped.
+pub fn snapshots(dir: &Path) -> Vec<(String, JsonValue)> {
+    let Ok(entries) = std::fs::read_dir(dir) else {
+        return Vec::new();
+    };
+    let mut found: Vec<(u64, String, JsonValue)> = entries
         .flatten()
         .filter_map(|e| {
             let name = e.file_name().into_string().ok()?;
-            if name.starts_with("BENCH_") && name.ends_with(".json") && name != exclude {
-                Some((e.metadata().ok()?.modified().ok()?, name))
-            } else {
-                None
+            if !(name.starts_with("BENCH_") && name.ends_with(".json")) {
+                return None;
             }
+            let doc = JsonValue::parse(&std::fs::read_to_string(e.path()).ok()?)?;
+            let pr = doc.get("pr")?.as_u64()?;
+            Some((pr, name, doc))
         })
         .collect();
-    candidates.sort();
-    let (_, name) = candidates.pop()?;
-    let body = std::fs::read_to_string(&name).ok()?;
-    Some((name, body))
+    found.sort_by(|a, b| (a.0, &a.1).cmp(&(b.0, &b.1)));
+    found
+        .into_iter()
+        .map(|(_, name, doc)| (name, doc))
+        .collect()
 }
 
 /// One regressed key of a snapshot comparison.
@@ -159,7 +160,7 @@ pub struct Regression {
 /// line per key, and return the regressions (empty = gate passes). When
 /// `skip_scaling` is set (a host with fewer than [`SCALING_MIN_CORES`] cores
 /// on either side), the [`SCALING_KEYS`] are reported but not gated.
-pub fn compare(prev: &str, cur: &str, skip_scaling: bool) -> Vec<Regression> {
+pub fn compare(prev: &JsonValue, cur: &JsonValue, skip_scaling: bool) -> Vec<Regression> {
     let mut failures = Vec::new();
     for g in GATES {
         if skip_scaling && SCALING_KEYS.contains(&g.key) {
@@ -203,8 +204,8 @@ pub fn compare(prev: &str, cur: &str, skip_scaling: bool) -> Vec<Regression> {
 /// than [`SCALING_MIN_CORES`] cores. Snapshots before the `host_cores` key
 /// existed fall back to the current host's count — the best available proxy,
 /// since CI re-runs on the same class of machine.
-pub fn skip_scaling_keys(prev: &str, cur: &str) -> bool {
-    let cores = |doc: &str| {
+pub fn skip_scaling_keys(prev: &JsonValue, cur: &JsonValue) -> bool {
+    let cores = |doc: &JsonValue| {
         extract(doc, "host_cores")
             .map(|c| c as usize)
             .unwrap_or_else(host_cores)
@@ -251,40 +252,78 @@ mod tests {
     use super::*;
     use aequus_telemetry::StageStats;
 
+    fn doc(text: &str) -> JsonValue {
+        JsonValue::parse(text).expect("test document parses")
+    }
+
     #[test]
     fn extract_reads_flat_keys() {
-        let doc = "{\n \"a\": 1.5,\n \"b\": -2,\n \"c\": 3e-4\n}";
-        assert_eq!(extract(doc, "a"), Some(1.5));
-        assert_eq!(extract(doc, "b"), Some(-2.0));
-        assert_eq!(extract(doc, "c"), Some(3e-4));
-        assert_eq!(extract(doc, "missing"), None);
+        let doc = doc("{\n \"a\": 1.5,\n \"b\": -2,\n \"c\": 3e-4\n}");
+        assert_eq!(extract(&doc, "a"), Some(1.5));
+        assert_eq!(extract(&doc, "b"), Some(-2.0));
+        assert_eq!(extract(&doc, "c"), Some(3e-4));
+        assert_eq!(extract(&doc, "missing"), None);
+    }
+
+    #[test]
+    fn snapshots_order_by_pr_not_mtime() {
+        // A fresh checkout: every file has the same mtime, and by name
+        // `BENCH_PR10` sorts before `BENCH_PR9`.
+        let dir = std::env::temp_dir().join(format!(
+            "aequus-bench-snapshots-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let mtime = std::time::SystemTime::UNIX_EPOCH + std::time::Duration::from_secs(1 << 30);
+        for (name, body) in [
+            ("BENCH_PR9.json", "{\"pr\": 9}"),
+            ("BENCH_PR10.json", "{\"pr\": 10}"),
+            ("BENCH_broken.json", "{\"pr\": "),
+            ("NOTES.json", "{\"pr\": 11}"),
+        ] {
+            let path = dir.join(name);
+            std::fs::write(&path, body).unwrap();
+            std::fs::File::options()
+                .write(true)
+                .open(&path)
+                .unwrap()
+                .set_modified(mtime)
+                .unwrap();
+        }
+        let names: Vec<String> = snapshots(&dir).into_iter().map(|(name, _)| name).collect();
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(names, ["BENCH_PR9.json", "BENCH_PR10.json"]);
     }
 
     #[test]
     fn compare_is_direction_aware() {
-        let prev = "{\"refresh_mean_s\": 0.010, \"events_per_sec_1t\": 1000000.0}";
+        let prev = &doc("{\"refresh_mean_s\": 0.010, \"events_per_sec_1t\": 1000000.0}");
         // refresh doubled past tol+slack, throughput halved past tol+slack.
-        let cur = "{\"refresh_mean_s\": 0.050, \"events_per_sec_1t\": 400000.0}";
+        let cur = &doc("{\"refresh_mean_s\": 0.050, \"events_per_sec_1t\": 400000.0}");
         let failures = compare(prev, cur, false);
         let keys: Vec<_> = failures.iter().map(|f| f.key).collect();
         assert_eq!(keys, vec!["refresh_mean_s", "events_per_sec_1t"]);
         // Improvements in both directions pass.
-        let better = "{\"refresh_mean_s\": 0.001, \"events_per_sec_1t\": 2000000.0}";
+        let better = &doc("{\"refresh_mean_s\": 0.001, \"events_per_sec_1t\": 2000000.0}");
         assert!(compare(prev, better, false).is_empty());
     }
 
     #[test]
     fn scaling_keys_skip_on_small_hosts() {
-        let prev =
-            "{\"scale_speedup_x\": 4.0, \"events_per_sec_8t\": 1000000.0, \"host_cores\": 16}";
-        let cur = "{\"scale_speedup_x\": 0.9, \"events_per_sec_8t\": 100000.0, \"host_cores\": 1}";
+        let prev = &doc(
+            "{\"scale_speedup_x\": 4.0, \"events_per_sec_8t\": 1000000.0, \"host_cores\": 16}",
+        );
+        let cur =
+            &doc("{\"scale_speedup_x\": 0.9, \"events_per_sec_8t\": 100000.0, \"host_cores\": 1}");
         assert!(skip_scaling_keys(prev, cur), "1-core side must skip");
         assert!(compare(prev, cur, true).is_empty());
         assert!(
             !compare(prev, cur, false).is_empty(),
             "same numbers gate when not skipped"
         );
-        let both_big = "{\"host_cores\": 8}";
+        let both_big = &doc("{\"host_cores\": 8}");
         assert!(!skip_scaling_keys(prev, both_big));
     }
 

@@ -1,7 +1,6 @@
-//! Shared scheduling machinery: priority queue management, pluggable
-//! dispatch (see [`crate::dispatch`]), completion handling, and statistics.
-//! The SLURM-like and Maui-like front ends configure this core with their
-//! respective re-prioritization semantics and integration styles; the
+//! The scheduler: priority queue management, pluggable dispatch (see
+//! [`crate::dispatch`]), completion handling, and statistics. The SLURM and
+//! Maui integrations differ only in their [`ReprioritizePolicy`]; the
 //! dispatch order (FIFO / EASY / Conservative / SAF) and the runtime
 //! predictor feeding it come from a [`DispatchConfig`].
 
@@ -51,12 +50,15 @@ impl SchedMetrics {
 }
 
 /// When pending-job priorities are recomputed — stage IV of the §IV-A-2
-/// delay chain.
+/// delay chain, and the one behavioural difference between the paper's two
+/// integrations (§III-A).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ReprioritizePolicy {
-    /// SLURM-style: a periodic recalculation interval.
+    /// SLURM: the Aequus priority plugin runs once per recalculation
+    /// interval (`PriorityCalcPeriod`), seconds.
     Interval(f64),
-    /// Maui-style: every scheduling iteration.
+    /// Maui: the patched libaequus call-out runs on every scheduling
+    /// iteration, so only the libaequus cache bounds freshness.
     EveryCycle,
 }
 
@@ -116,7 +118,9 @@ struct PendingEntry {
     user_id: Option<UserId>,
 }
 
-/// The common scheduler core.
+/// A local resource manager with the Aequus priority and usage-report
+/// call-outs installed; the [`ReprioritizePolicy`] selects the SLURM or
+/// Maui integration mode.
 #[derive(Debug)]
 pub struct SchedulerCore {
     site: SiteId,
@@ -130,8 +134,7 @@ pub struct SchedulerCore {
     last_reprio_s: f64,
     policy: Box<dyn DispatchPolicy>,
     predictor: RuntimePredictor,
-    /// Statistics.
-    pub stats: SchedulerStats,
+    stats: SchedulerStats,
     /// Telemetry handles (no-ops until wired).
     metrics: SchedMetrics,
 }
@@ -186,6 +189,16 @@ impl SchedulerCore {
     pub fn set_telemetry(&mut self, t: &Telemetry) {
         self.metrics = SchedMetrics::wire(t);
         self.predictor.set_telemetry(t);
+    }
+
+    /// Scheduler statistics.
+    pub fn stats(&self) -> &SchedulerStats {
+        &self.stats
+    }
+
+    /// Mean utilization of the node pool over `[0, now_s]`.
+    pub fn utilization(&mut self, now_s: f64) -> f64 {
+        self.nodes.utilization(now_s)
     }
 
     /// The active dispatch policy's label.
@@ -496,7 +509,7 @@ mod tests {
         assert_eq!(sched.pending_count(), 0);
         sched.advance(&mut src, 100.0);
         assert_eq!(sched.running_count(), 0);
-        assert_eq!(sched.stats.completed, 1);
+        assert_eq!(sched.stats().completed, 1);
         // Usage was reported to the fairshare source.
         assert!((src.usage().total_recorded() - 100.0).abs() < 1e-9);
     }
@@ -547,7 +560,7 @@ mod tests {
             "long job would delay head"
         );
         assert!(!running_ids.contains(&JobId(2)), "head still waiting");
-        assert_eq!(sched.stats.backfilled, 1);
+        assert_eq!(sched.stats().backfilled, 1);
         // At t=100 jobs 1 and 4 are done. User b is now under-served, so job
         // 3 outranks job 2, starts on 1 core, and job 2 (4 cores) is
         // reserved behind it.
@@ -563,36 +576,74 @@ mod tests {
 
     #[test]
     fn interval_reprioritization_caches_priorities() {
-        let mut sched = SchedulerCore::new(
-            SiteId(0),
-            NodePool::new(1, 0), // no capacity: jobs stay pending
-            PriorityWeights::fairshare_only(),
-            FactorConfig::default(),
+        // SLURM's interval caches the priority until the next recalculation;
+        // Maui's per-iteration call-out sees fresh usage on the very next
+        // iteration.
+        for reprio in [
             ReprioritizePolicy::Interval(60.0),
-        );
-        let mut src = source();
-        sched.submit(job(1, "sysa", 1, 0.0, 10.0), &mut src, 0.0);
-        sched.advance(&mut src, 0.0);
-        let p0 = sched.pending_jobs().next().unwrap().1;
-        // New usage for a arrives, but within the interval the cached
-        // priority persists.
-        src.report_usage(
-            UsageRecord {
-                job: JobId(9),
-                user: GridUser::new("a"),
-                site: SiteId(0),
-                cores: 1,
-                start_s: 0.0,
-                end_s: 500.0,
-            },
-            10.0,
-        );
-        sched.advance(&mut src, 30.0);
-        let p1 = sched.pending_jobs().next().unwrap().1;
-        assert_eq!(p0, p1, "stage-IV delay: stale priority inside interval");
-        sched.advance(&mut src, 60.0);
-        let p2 = sched.pending_jobs().next().unwrap().1;
-        assert!(p2 < p1, "re-prioritized after interval");
+            ReprioritizePolicy::EveryCycle,
+        ] {
+            let mut sched = SchedulerCore::new(
+                SiteId(0),
+                NodePool::new(1, 0), // no capacity: jobs stay pending
+                PriorityWeights::fairshare_only(),
+                FactorConfig::default(),
+                reprio,
+            );
+            let mut src = source();
+            sched.submit(job(1, "sysa", 1, 0.0, 10.0), &mut src, 0.0);
+            sched.advance(&mut src, 0.0);
+            let p0 = sched.pending_jobs().next().unwrap().1;
+            src.report_usage(
+                UsageRecord {
+                    job: JobId(9),
+                    user: GridUser::new("a"),
+                    site: SiteId(0),
+                    cores: 1,
+                    start_s: 0.0,
+                    end_s: 500.0,
+                },
+                10.0,
+            );
+            sched.advance(&mut src, 30.0);
+            let p1 = sched.pending_jobs().next().unwrap().1;
+            if reprio == ReprioritizePolicy::EveryCycle {
+                assert!(p1 < p0, "every cycle: new usage seen at once: {p1} !< {p0}");
+            } else {
+                assert_eq!(p0, p1, "stage-IV delay: stale priority inside interval");
+                sched.advance(&mut src, 60.0);
+                let p2 = sched.pending_jobs().next().unwrap().1;
+                assert!(p2 < p1, "re-prioritized after interval");
+            }
+        }
+    }
+
+    #[test]
+    fn both_integration_modes_drain_the_same_stream() {
+        // Only re-prioritization differs between the modes: one user, ten
+        // jobs over two cores, and both drain the stream to completion.
+        for reprio in [
+            ReprioritizePolicy::Interval(30.0),
+            ReprioritizePolicy::EveryCycle,
+        ] {
+            let mut sched = SchedulerCore::new(
+                SiteId(0),
+                NodePool::new(2, 1),
+                PriorityWeights::fairshare_only(),
+                FactorConfig::default(),
+                reprio,
+            );
+            let mut src = source();
+            for step in 0..50u64 {
+                let t = step as f64 * 20.0;
+                if step < 10 {
+                    sched.submit(job(step, "sysa", 1, t, 30.0), &mut src, t);
+                }
+                sched.advance(&mut src, t);
+            }
+            let stats = sched.stats();
+            assert_eq!((stats.submitted, stats.completed), (10, 10), "{reprio:?}");
+        }
     }
 
     #[test]
@@ -615,7 +666,7 @@ mod tests {
         sched.advance(&mut src, 0.0); // job 1 (or 2) starts, other waits
         sched.advance(&mut src, 100.0);
         sched.advance(&mut src, 200.0);
-        assert_eq!(sched.stats.completed, 2);
-        assert!(sched.stats.mean_wait_s() > 0.0);
+        assert_eq!(sched.stats().completed, 2);
+        assert!(sched.stats().mean_wait_s() > 0.0);
     }
 }

@@ -254,7 +254,7 @@ proptest! {
             submits.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite"));
             let mut idx = 0;
             let mut t = 0.0;
-            while t < 40_000.0 && (sched.stats.completed as usize) < submits.len() {
+            while t < 40_000.0 && (sched.stats().completed as usize) < submits.len() {
                 while idx < submits.len() && submits[idx].0 <= t {
                     let (at, dur, cores) = submits[idx];
                     sched.submit(
@@ -268,7 +268,7 @@ proptest! {
                 t += 10.0;
             }
             prop_assert_eq!(
-                sched.stats.completed as usize,
+                sched.stats().completed as usize,
                 submits.len(),
                 "{}: workload did not drain",
                 order.name()

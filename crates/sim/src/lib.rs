@@ -3,8 +3,8 @@
 //! Discrete-event simulation of the fully integrated Aequus deployment —
 //! the in-silico counterpart of the paper's test bed (§IV-A): a submission
 //! host dispatching synthetic workloads (stochastically or round-robin)
-//! onto a fleet of simulated clusters, each running a SLURM- or Maui-like
-//! RMS wired to its own Aequus installation, with USS↔USS usage exchange as
+//! onto a fleet of simulated clusters, each running an RMS in SLURM or Maui
+//! integration mode wired to its own Aequus installation, with USS↔USS usage exchange as
 //! the only cross-site channel.
 //!
 //! * [`event`] — deterministic time-ordered event queues (per-shard, plus

@@ -13,12 +13,13 @@ use aequus_services::{
 use crate::dispatch::RoutingPolicy;
 use crate::faults::FaultPlan;
 
-/// Which RMS front end a cluster runs.
+/// Which integration mode a cluster's RMS runs: it selects the
+/// scheduler's [`aequus_rms::ReprioritizePolicy`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RmsKind {
-    /// SLURM-like (plugin integration, periodic re-prioritization).
+    /// SLURM (plugin integration, periodic re-prioritization).
     Slurm,
-    /// Maui-like (patched call-outs, per-iteration re-prioritization).
+    /// Maui (patched call-outs, per-iteration re-prioritization).
     Maui,
 }
 
@@ -31,7 +32,7 @@ pub struct ClusterSpec {
     pub cores_per_node: u32,
     /// Participation in the global usage exchange.
     pub participation: ParticipationMode,
-    /// RMS front end.
+    /// RMS integration mode.
     pub rms: RmsKind,
     /// Site-local policy override — "local administrations retain control
     /// over their clusters" (§II-A): a site may enforce its own tree (e.g.

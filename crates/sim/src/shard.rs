@@ -11,7 +11,7 @@
 //! execution depends only on `(scenario, seed, delivered events)` — never on
 //! which worker thread runs it or how many workers exist.
 
-use crate::cluster::{Rms, SimCluster};
+use crate::cluster::SimCluster;
 use crate::event::{Event, EventQueue};
 use crate::faults::FaultRng;
 use crate::metrics::{ShardSample, UsageView, UserSample};
@@ -341,10 +341,6 @@ impl Shard {
                     .collect()
             })
             .unwrap_or_default();
-        let busy_cores = match &self.cluster.rms {
-            Rms::Slurm(s) => s.core().nodes.busy_cores(),
-            Rms::Maui(m) => m.core().nodes.busy_cores(),
-        };
         let usage_view = (!self.crashed
             && self.scenario.clusters[self.index]
                 .participation
@@ -374,9 +370,9 @@ impl Shard {
         ShardSample {
             users,
             site_priority,
-            busy_cores,
-            pending: self.cluster.rms.pending(),
-            running: self.cluster.rms.running(),
+            busy_cores: self.cluster.rms.nodes.busy_cores(),
+            pending: self.cluster.rms.pending_count(),
+            running: self.cluster.rms.running_count(),
             completed: self.cluster.rms.stats().completed,
             fcs_full_refreshes: self.cluster.site.fcs.full_refreshes(),
             fcs_incremental_refreshes: self.cluster.site.fcs.incremental_refreshes(),

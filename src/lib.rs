@@ -5,7 +5,8 @@
 //! * [`aequus_core`] — policies, usage, the fairshare algorithm, vectors,
 //!   projections (the paper's contribution).
 //! * [`aequus_services`] — the PDS/USS/UMS/FCS/IRS services and libaequus.
-//! * [`aequus_rms`] — SLURM-like and Maui-like local resource managers.
+//! * [`aequus_rms`] — the local resource manager, with SLURM and Maui
+//!   integration modes.
 //! * [`aequus_sim`] — the discrete-event grid simulator (test bed).
 //! * [`aequus_workload`] — the Table II/III statistical models and
 //!   synthetic trace generation.

@@ -7,7 +7,9 @@
 
 use aequus::core::projection::ProjectionKind;
 use aequus::services::{RetryPolicy, ServiceTimings};
-use aequus::sim::{FaultPlan, GridScenario, GridSimulation, Outage, ShardPlacement, SimResult};
+use aequus::sim::{
+    FaultPlan, GridScenario, GridSimulation, Outage, RmsKind, ShardPlacement, SimResult,
+};
 use aequus::workload::{Trace, TraceJob};
 
 fn base_seed() -> u64 {
@@ -210,4 +212,23 @@ fn fault_free_runs_are_equivalent_too() {
     let serial = run(clean.clone());
     let parallel = run(clean.with_threads(4));
     assert_equivalent(&serial, &parallel, "fault-free");
+}
+
+#[test]
+fn mixed_slurm_and_maui_grid_drains_and_replays() {
+    // Every other site runs the Maui integration (per-iteration
+    // re-prioritization) next to SLURM sites, under the full chaos plan.
+    let mut mixed = scenario(base_seed(), ProjectionKind::Percental);
+    for (i, c) in mixed.clusters.iter_mut().enumerate() {
+        c.rms = if i % 2 == 1 {
+            RmsKind::Maui
+        } else {
+            RmsKind::Slurm
+        };
+    }
+    let serial = run(mixed.clone());
+    assert_eq!(serial.total_submitted(), trace().len() as u64);
+    assert_eq!(serial.total_completed(), serial.total_submitted());
+    let parallel = run(mixed.with_threads(2));
+    assert_equivalent(&serial, &parallel, "mixed SLURM/Maui");
 }
