@@ -14,6 +14,7 @@
 //!
 //! Seeded by `AEQUUS_TEST_SEED` (default 42), like the test suites.
 
+use aequus_bench::harness;
 use aequus_services::RetryPolicy;
 use aequus_sim::{FaultPlan, GridScenario, GridSimulation, Outage, SimResult};
 use aequus_telemetry::slo::alerts_to_jsonl;
@@ -236,18 +237,13 @@ fn main() {
     // production-density run. Interleaved min-of-N — comparing the two
     // arms' floors discards scheduler and allocator noise, which on a
     // ~20 ms run is far larger than the subsystem's real cost.
-    timed_run(false);
-    timed_run(true);
-    let mut off = f64::INFINITY;
-    let mut on = f64::INFINITY;
-    let mut pair_ratios = Vec::with_capacity(OVERHEAD_ROUNDS);
-    for _ in 0..OVERHEAD_ROUNDS {
-        let o = timed_run(false);
-        let h = timed_run(true);
-        off = off.min(o);
-        on = on.min(h);
-        pair_ratios.push(h / o);
-    }
+    let samples = harness::interleaved(&[false, true], 1, OVERHEAD_ROUNDS, |&h| timed_run(h));
+    let (off, on) = (harness::min(&samples[0]), harness::min(&samples[1]));
+    let mut pair_ratios: Vec<f64> = samples[1]
+        .iter()
+        .zip(&samples[0])
+        .map(|(h, o)| h / o)
+        .collect();
     pair_ratios.sort_by(|a, b| a.partial_cmp(b).expect("finite wall times"));
     let median = pair_ratios[OVERHEAD_ROUNDS / 2];
     let ratio = on / off;

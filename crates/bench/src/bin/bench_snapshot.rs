@@ -26,7 +26,7 @@
 
 use aequus_bench::snapshot::{compare, host_cores, skip_scaling_keys, snapshots};
 use aequus_bench::{
-    baseline_trace, jobs_arg, run_gossip_sweep, run_health_chaos, run_matrix,
+    baseline_trace, harness, jobs_arg, run_gossip_sweep, run_health_chaos, run_matrix,
     run_prediction_comparison, run_recovery_sweep, run_scale_sweep, run_with_faults,
     BackfillConfig, GossipConfig, ScaleConfig, ScenarioBuilder,
 };
@@ -37,8 +37,9 @@ use aequus_telemetry::export::JsonValue;
 use aequus_workload::users::baseline_policy_shares;
 use std::time::Instant;
 
-const OUT: &str = "BENCH_PR10.json";
-const PROFILE_OUT: &str = "PROFILE_PR10.json";
+/// The revision this snapshot records: it names both output files and is
+/// the `"pr"` field that orders snapshots.
+const PR: u32 = 10;
 
 /// The compact two-cluster testbed used for the timing ratios, so the
 /// telemetry-only / unsampled / fully-traced runs are strictly comparable.
@@ -89,6 +90,8 @@ fn refresh_and_query_stats(result: &SimResult) -> (f64, f64, f64) {
 
 fn main() {
     let check = std::env::args().any(|a| a == "--check");
+    let out = format!("BENCH_PR{PR}.json");
+    let profile_out = format!("PROFILE_PR{PR}.json");
     let jobs = jobs_arg(4_000);
     let seed = 42;
     let cores = host_cores();
@@ -99,15 +102,15 @@ fn main() {
     // cache warmup. The first (untimed) run doubles as the warmup and the
     // telemetry source for the latency stats.
     let (_, telem) = timed_run(two_cluster_scenario(seed).with_telemetry(), jobs, seed);
-    let (mut telem_wall, mut unsampled_wall, mut full_wall) =
-        (f64::INFINITY, f64::INFINITY, f64::INFINITY);
-    for _ in 0..3 {
-        telem_wall =
-            telem_wall.min(timed_run(two_cluster_scenario(seed).with_telemetry(), jobs, seed).0);
-        unsampled_wall = unsampled_wall.min(timed_run(unsampled_scenario(seed), jobs, seed).0);
-        full_wall =
-            full_wall.min(timed_run(two_cluster_scenario(seed).with_full_tracing(), jobs, seed).0);
-    }
+    let configs: [fn(u64) -> GridScenario; 3] = [
+        |seed| two_cluster_scenario(seed).with_telemetry(),
+        unsampled_scenario,
+        |seed| two_cluster_scenario(seed).with_full_tracing(),
+    ];
+    let walls = harness::interleaved(&configs, 0, 3, |config| {
+        timed_run(config(seed), jobs, seed).0
+    });
+    let [telem_wall, unsampled_wall, full_wall] = [0, 1, 2].map(|i| harness::min(&walls[i]));
     let (refresh_mean, refresh_p99, query_p99) = refresh_and_query_stats(&telem);
     // Gossip convergence under a 10% drop fault plan: total seconds the
     // cross-site usage views spent divergent (> 1e-6). Lower means the
@@ -222,12 +225,12 @@ fn main() {
     // sidecar: when a later `bench_diff` sees a wall-clock key regress, it
     // diffs the two PROFILE files' stage shares to name the culprit.
     if let Some((_, profile)) = scale.profiles.first() {
-        std::fs::write(PROFILE_OUT, profile.to_json()).expect("write profile sidecar");
-        println!("wrote {PROFILE_OUT}");
+        std::fs::write(&profile_out, profile.to_json()).expect("write profile sidecar");
+        println!("wrote {profile_out}");
     }
 
     let json = format!(
-        "{{\n  \"pr\": 10,\n  \"jobs\": {jobs},\n  \"host_cores\": {cores},\n  \
+        "{{\n  \"pr\": {PR},\n  \"jobs\": {jobs},\n  \"host_cores\": {cores},\n  \
          \"refresh_mean_s\": {refresh_mean:?},\n  \
          \"refresh_p99_s\": {refresh_p99:?},\n  \"query_p99_s\": {query_p99:?},\n  \
          \"gossip_divergent_s\": {divergent_s:?},\n  \
@@ -249,8 +252,8 @@ fn main() {
          \"backfill_easy_conv_s\": {backfill_easy_conv:?},\n  \
          \"backfill_predict_rel_err\": {backfill_predict_err:?}\n}}\n"
     );
-    std::fs::write(OUT, &json).expect("write benchmark snapshot");
-    println!("wrote {OUT}:");
+    std::fs::write(&out, &json).expect("write benchmark snapshot");
+    println!("wrote {out}:");
     print!("{json}");
 
     if !check {
@@ -259,7 +262,7 @@ fn main() {
     let cur = JsonValue::parse(&json).expect("benchmark snapshot is valid JSON");
     let previous = snapshots(std::path::Path::new("."))
         .into_iter()
-        .rfind(|(name, _)| name != OUT);
+        .rfind(|(name, _)| *name != out);
     let Some((prev_name, prev)) = previous else {
         println!("OK: no previous BENCH_*.json to compare against; gate passes");
         return;

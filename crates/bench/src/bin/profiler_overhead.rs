@@ -5,16 +5,17 @@
 //! `--check` to exit non-zero when either mode exceeds its budget (the CI
 //! gate).
 //!
-//! The harness mirrors `telemetry_overhead`: interleave one baseline and
-//! both profiled configurations each round so drift (thermal, host
-//! scheduler) hits all equally, then compare *minima* — the noise-robust
-//! statistic for "how fast can this configuration go".
+//! The timing is `telemetry_overhead`'s ([`aequus_bench::harness::interleaved`]):
+//! interleave one baseline and both profiled configurations each round so
+//! drift (thermal, host scheduler) hits all equally, then compare *minima*
+//! — the noise-robust statistic for "how fast can this configuration go".
 //!
 //! Unlike `telemetry_overhead`'s microbenchmark of one scheduler advance,
 //! the sample here is a whole serial simulation: the profiler hooks live in
 //! the engine's epoch loop and the cross-shard send path, which no
 //! single-component harness exercises.
 
+use aequus_bench::harness::{interleaved, min};
 use aequus_bench::{uniform_trace, ScenarioBuilder};
 use aequus_sim::{GridScenario, GridSimulation};
 use aequus_telemetry::ProfileMode;
@@ -60,18 +61,7 @@ fn main() {
     let check = std::env::args().any(|a| a == "--check");
     println!("# profiler overhead: {JOBS}-job serial simulation, minima over {ROUNDS} rounds");
     let modes = [ProfileMode::Off, ProfileMode::Counters, ProfileMode::Full];
-    for _ in 0..WARMUP {
-        for m in modes {
-            sample_ns(m);
-        }
-    }
-    let mut samples = [const { Vec::new() }; 3];
-    for _ in 0..ROUNDS {
-        for (i, m) in modes.into_iter().enumerate() {
-            samples[i].push(sample_ns(m));
-        }
-    }
-    let min = |v: &[f64]| v.iter().copied().fold(f64::INFINITY, f64::min);
+    let samples = interleaved(&modes, WARMUP, ROUNDS, |&m| sample_ns(m));
     let base = min(&samples[0]);
     let mut failed = false;
     let mut gate = |name: &str, ratio: f64, budget: f64| {

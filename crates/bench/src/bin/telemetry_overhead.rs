@@ -6,6 +6,7 @@
 //! recorded). Run with `--check` to exit non-zero when any mode exceeds the
 //! budget (the CI gate).
 
+use aequus_bench::harness;
 use aequus_core::fairshare::FairshareConfig;
 use aequus_core::ids::{JobId, SiteId};
 use aequus_core::policy::flat_policy;
@@ -128,27 +129,16 @@ fn site_sample_ns(telemetry: &Telemetry) -> f64 {
     start.elapsed().as_nanos() as f64
 }
 
-/// Interleave one baseline and N instrumented configurations so drift
-/// (thermal, scheduler) hits all equally; compare minima, the noise-robust
-/// statistic. Returns each configuration's ratio to the baseline.
-fn measure(sample: fn(&Telemetry) -> f64, baseline: &Telemetry, modes: &[&Telemetry]) -> Vec<f64> {
-    for _ in 0..WARMUP {
-        sample(baseline);
-        for m in modes {
-            sample(m);
-        }
-    }
-    let mut off = Vec::with_capacity(ROUNDS);
-    let mut on = vec![Vec::with_capacity(ROUNDS); modes.len()];
-    for _ in 0..ROUNDS {
-        off.push(sample(baseline));
-        for (i, m) in modes.iter().enumerate() {
-            on[i].push(sample(m));
-        }
-    }
-    let min = |v: &[f64]| v.iter().copied().fold(f64::INFINITY, f64::min);
-    let off_min = min(&off);
-    on.iter().map(|v| min(v) / off_min).collect()
+/// Each instrumented configuration's ratio of minima to the first
+/// (baseline) configuration, all interleaved so drift (thermal, scheduler)
+/// hits them equally.
+fn measure(sample: fn(&Telemetry) -> f64, configs: &[&Telemetry]) -> Vec<f64> {
+    let samples = harness::interleaved(configs, WARMUP, ROUNDS, |t| sample(t));
+    let base = harness::min(&samples[0]);
+    samples[1..]
+        .iter()
+        .map(|v| harness::min(v) / base)
+        .collect()
 }
 
 fn main() {
@@ -164,7 +154,7 @@ fn main() {
 
     println!("# telemetry overhead: SchedulerCore::advance, {QUEUE} queued jobs");
     let enabled = Telemetry::enabled();
-    let ratios = measure(sample_ns, &Telemetry::disabled(), &[&enabled]);
+    let ratios = measure(sample_ns, &[&Telemetry::disabled(), &enabled]);
     gate("metrics-only", ratios[0]);
     let snap = enabled.snapshot().expect("enabled telemetry snapshots");
     println!(
@@ -193,7 +183,7 @@ fn main() {
         },
     );
     let full = Telemetry::with_full_config(TracerConfig::default(), 256, SpanConfig::full(0));
-    let ratios = measure(site_sample_ns, &Telemetry::enabled(), &[&unsampled, &full]);
+    let ratios = measure(site_sample_ns, &[&Telemetry::enabled(), &unsampled, &full]);
     gate("tracing-unsampled", ratios[0]);
     gate("tracing-full-capture", ratios[1]);
 

@@ -229,9 +229,56 @@ pub fn run_benches(title: &str, benches: &mut [&mut dyn FnMut(&mut Criterion)]) 
     }
 }
 
+/// Interleaved timing for the overhead gates and the snapshot's tracing
+/// ratios: `warmup` untimed rounds, then `rounds` rounds that time every
+/// configuration once, in order, so drift (thermal, host scheduler) hits
+/// all of them equally. Returns each configuration's samples, in
+/// configuration order; callers gate on the ratio of their [`min`]s.
+pub fn interleaved<C>(
+    configs: &[C],
+    warmup: usize,
+    rounds: usize,
+    mut sample: impl FnMut(&C) -> f64,
+) -> Vec<Vec<f64>> {
+    for _ in 0..warmup {
+        for config in configs {
+            sample(config);
+        }
+    }
+    let mut samples = vec![Vec::with_capacity(rounds); configs.len()];
+    for _ in 0..rounds {
+        for (config, out) in configs.iter().zip(&mut samples) {
+            out.push(sample(config));
+        }
+    }
+    samples
+}
+
+/// The fastest sample: the noise-robust statistic for "how fast can this
+/// configuration go".
+pub fn min(samples: &[f64]) -> f64 {
+    samples.iter().copied().fold(f64::INFINITY, f64::min)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn interleaved_times_every_config_in_order() {
+        let mut calls = Vec::new();
+        let samples = interleaved(&[1.0, 2.0], 1, 2, |&c| {
+            calls.push(c);
+            c * calls.len() as f64
+        });
+        assert_eq!(
+            calls,
+            [1.0, 2.0, 1.0, 2.0, 1.0, 2.0],
+            "warm-up, then rounds"
+        );
+        assert_eq!(samples, [vec![3.0, 5.0], vec![8.0, 12.0]]);
+        assert_eq!(min(&samples[1]), 8.0);
+    }
 
     #[test]
     fn iter_produces_estimate() {

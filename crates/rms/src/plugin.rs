@@ -19,34 +19,18 @@ use aequus_services::AequusSite;
 use std::collections::BTreeMap;
 
 /// What the RMS-side plugins need from a fairshare system.
+///
+/// Priorities are queried by interned id: the RMS interns a job's grid
+/// user once (at submit) and every later query of that job — one per
+/// reprioritization pass — reads the source's id-indexed factor table.
 pub trait FairshareSource {
-    /// The fairshare priority factor (in `[0, 1]`) for a grid user.
+    /// Intern a grid user into the source's stable dense id. Ids are never
+    /// reused, so the RMS may keep them for the lifetime of its queue.
+    fn intern_user(&mut self, user: &GridUser) -> UserId;
+
+    /// The fairshare priority factor (in `[0, 1]`) of an interned user.
     /// Replaces "the normal fairshare priority calculation code".
-    fn fairshare_factor(&mut self, user: &GridUser, now_s: f64) -> f64;
-
-    /// Intern a grid user into a stable dense id so repeated priority
-    /// queries (reprioritization loops) can skip the keyed lookup. Sources
-    /// without an interner return `None` and callers fall back to
-    /// [`fairshare_factor`](Self::fairshare_factor).
-    fn intern_user(&mut self, _user: &GridUser) -> Option<UserId> {
-        None
-    }
-
-    /// The fairshare factor by interned id. Only called with ids this
-    /// source returned from [`intern_user`](Self::intern_user); the default
-    /// (for sources without an interner) is the neutral factor.
-    fn fairshare_factor_by_id(&mut self, _id: UserId, _now_s: f64) -> f64 {
-        0.5
-    }
-
-    /// Capture the full decision provenance behind
-    /// [`fairshare_factor`](Self::fairshare_factor) for a user: policy path,
-    /// decayed usage, distance terms, fairshare vector, and projection, such
-    /// that replaying the capture reproduces the factor bit-for-bit. Sources
-    /// that cannot explain themselves return `None` (the default).
-    fn explain(&self, _user: &GridUser) -> Option<aequus_core::Explanation> {
-        None
-    }
+    fn fairshare_factor(&mut self, id: UserId, now_s: f64) -> f64;
 
     /// Supply usage information for a completed job (the SLURM job
     /// completion plugin / the Maui completion call site).
@@ -57,20 +41,12 @@ pub trait FairshareSource {
 }
 
 impl FairshareSource for AequusSite {
-    fn fairshare_factor(&mut self, user: &GridUser, now_s: f64) -> f64 {
-        self.fairshare(user, now_s)
+    fn intern_user(&mut self, user: &GridUser) -> UserId {
+        AequusSite::intern_user(self, user)
     }
 
-    fn intern_user(&mut self, user: &GridUser) -> Option<UserId> {
-        Some(AequusSite::intern_user(self, user))
-    }
-
-    fn fairshare_factor_by_id(&mut self, id: UserId, now_s: f64) -> f64 {
+    fn fairshare_factor(&mut self, id: UserId, now_s: f64) -> f64 {
         self.fairshare_by_id(id, now_s)
-    }
-
-    fn explain(&self, user: &GridUser) -> Option<aequus_core::Explanation> {
-        self.fcs.explain(user)
     }
 
     fn report_usage(&mut self, record: UsageRecord, now_s: f64) {
@@ -91,6 +67,8 @@ pub struct LocalFairshare {
     projection: Box<dyn Projection>,
     usage: UsageHistogram,
     identity_map: BTreeMap<SystemUser, GridUser>,
+    /// Interned users, indexed by [`UserId`].
+    users: Vec<GridUser>,
 }
 
 impl std::fmt::Debug for LocalFairshare {
@@ -115,6 +93,7 @@ impl LocalFairshare {
             projection: projection.build(),
             usage: UsageHistogram::new(usage_slot_s),
             identity_map: BTreeMap::new(),
+            users: Vec::new(),
         }
     }
 
@@ -130,14 +109,26 @@ impl LocalFairshare {
 }
 
 impl FairshareSource for LocalFairshare {
-    fn fairshare_factor(&mut self, user: &GridUser, now_s: f64) -> f64 {
+    /// A linear search: every factor query recomputes the whole tree
+    /// anyway, which dwarfs it.
+    fn intern_user(&mut self, user: &GridUser) -> UserId {
+        let index = self
+            .users
+            .iter()
+            .position(|u| u == user)
+            .unwrap_or_else(|| {
+                self.users.push(user.clone());
+                self.users.len() - 1
+            });
+        UserId(index as u32)
+    }
+
+    fn fairshare_factor(&mut self, id: UserId, now_s: f64) -> f64 {
         let usage = self.usage.decayed_all(now_s, self.config.decay);
         let tree = FairshareTree::compute(&self.policy, &usage, &self.config, now_s);
-        self.projection
-            .project(&tree)
-            .get(user)
-            .copied()
-            .unwrap_or(0.5)
+        let user = self.users.get(id.index());
+        let factor = user.and_then(|u| self.projection.project(&tree).get(u).copied());
+        factor.unwrap_or(0.5)
     }
 
     fn report_usage(&mut self, record: UsageRecord, _now_s: f64) {
@@ -174,9 +165,10 @@ mod tests {
             ProjectionKind::Percental,
             60.0,
         );
-        let before = lf.fairshare_factor(&GridUser::new("a"), 0.0);
+        let a = lf.intern_user(&GridUser::new("a"));
+        let before = lf.fairshare_factor(a, 0.0);
         lf.report_usage(record("a", 0.0, 500.0), 500.0);
-        let after = lf.fairshare_factor(&GridUser::new("a"), 500.0);
+        let after = lf.fairshare_factor(a, 500.0);
         assert!(after < before, "no pipeline delay locally");
     }
 
@@ -214,8 +206,10 @@ mod tests {
             60.0,
         );
         site1.report_usage(record("a", 0.0, 900.0), 900.0);
-        let f1 = site1.fairshare_factor(&GridUser::new("a"), 900.0);
-        let f2 = site2.fairshare_factor(&GridUser::new("a"), 900.0);
+        let a1 = site1.intern_user(&GridUser::new("a"));
+        let a2 = site2.intern_user(&GridUser::new("a"));
+        let f1 = site1.fairshare_factor(a1, 900.0);
+        let f2 = site2.fairshare_factor(a2, 900.0);
         assert!(f1 < f2, "site2 is oblivious to a's usage on site1");
     }
 }

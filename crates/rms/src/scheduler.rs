@@ -108,14 +108,33 @@ impl SchedulerStats {
     }
 }
 
-/// A queued job with its cached priority and (when the fairshare source
-/// supports interning) the stable id of its grid user, so re-prioritization
+/// A queued job with its cached priority and the stable id of its grid
+/// user (`None` when the identity did not resolve), so re-prioritization
 /// sweeps query priorities by index instead of cloned `GridUser` keys.
 #[derive(Debug)]
 struct PendingEntry {
     job: Job,
     prio: f64,
     user_id: Option<UserId>,
+}
+
+impl PendingEntry {
+    /// The multifactor priority the next dispatch pass would use.
+    fn priority(
+        &self,
+        weights: &PriorityWeights,
+        factors: &FactorConfig,
+        source: &mut dyn FairshareSource,
+        now_s: f64,
+    ) -> f64 {
+        combined_priority(
+            weights,
+            fairshare_of(source, self.user_id, now_s),
+            factors.age_factor(&self.job, now_s),
+            factors.qos_factor(&self.job),
+            factors.size_factor(&self.job),
+        )
+    }
 }
 
 /// A local resource manager with the Aequus priority and usage-report
@@ -234,33 +253,17 @@ impl SchedulerCore {
         }
         // Intern the user once at submit; every later priority query for
         // this entry is an index load on the source side.
-        let user_id = job.grid_user.as_ref().and_then(|u| source.intern_user(u));
+        let user_id = job.grid_user.as_ref().map(|u| source.intern_user(u));
         self.stats.submitted += 1;
         self.metrics.submitted.inc();
         // New jobs get a priority immediately so they can dispatch this cycle.
-        let prio = self.priority_of(&job, user_id, source, now_s);
-        self.pending.push(PendingEntry { job, prio, user_id });
-    }
-
-    fn priority_of(
-        &self,
-        job: &Job,
-        user_id: Option<UserId>,
-        source: &mut dyn FairshareSource,
-        now_s: f64,
-    ) -> f64 {
-        let fairshare = match (user_id, &job.grid_user) {
-            (Some(id), _) => source.fairshare_factor_by_id(id, now_s),
-            (None, Some(u)) => source.fairshare_factor(u, now_s),
-            (None, None) => 0.5, // unmapped users get the neutral factor
+        let mut entry = PendingEntry {
+            job,
+            prio: 0.0,
+            user_id,
         };
-        combined_priority(
-            &self.weights,
-            fairshare,
-            self.factors.age_factor(job, now_s),
-            self.factors.qos_factor(job),
-            self.factors.size_factor(job),
-        )
+        entry.prio = entry.priority(&self.weights, &self.factors, source, now_s);
+        self.pending.push(entry);
     }
 
     /// Whether a re-prioritization is due at `now_s`.
@@ -280,17 +283,7 @@ impl SchedulerCore {
             let _span = self.metrics.h_reprio.start_timer();
             self.metrics.reprio_passes.inc();
             for entry in &mut self.pending {
-                entry.prio = combined_priority(
-                    &self.weights,
-                    match (entry.user_id, &entry.job.grid_user) {
-                        (Some(id), _) => source.fairshare_factor_by_id(id, now_s),
-                        (None, Some(u)) => source.fairshare_factor(u, now_s),
-                        (None, None) => 0.5,
-                    },
-                    self.factors.age_factor(&entry.job, now_s),
-                    self.factors.qos_factor(&entry.job),
-                    self.factors.size_factor(&entry.job),
-                );
+                entry.prio = entry.priority(&self.weights, &self.factors, source, now_s);
             }
             self.last_reprio_s = now_s;
         }
@@ -444,14 +437,9 @@ impl SchedulerCore {
         now_s: f64,
     ) -> Option<PriorityBreakdown> {
         let entry = self.pending.iter().find(|e| e.job.id == id)?;
-        let fairshare = match (entry.user_id, &entry.job.grid_user) {
-            (Some(uid), _) => source.fairshare_factor_by_id(uid, now_s),
-            (None, Some(u)) => source.fairshare_factor(u, now_s),
-            (None, None) => 0.5,
-        };
         Some(explain_combined(
             &self.weights,
-            fairshare,
+            fairshare_of(source, entry.user_id, now_s),
             self.factors.age_factor(&entry.job, now_s),
             self.factors.qos_factor(&entry.job),
             self.factors.size_factor(&entry.job),
@@ -462,6 +450,12 @@ impl SchedulerCore {
     pub fn running_jobs(&self) -> &[Job] {
         &self.running
     }
+}
+
+/// The fairshare factor of a queued job's user; users whose identity did
+/// not resolve get the neutral factor.
+fn fairshare_of(source: &mut dyn FairshareSource, user: Option<UserId>, now_s: f64) -> f64 {
+    user.map_or(0.5, |id| source.fairshare_factor(id, now_s))
 }
 
 #[cfg(test)]

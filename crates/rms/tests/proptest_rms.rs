@@ -165,8 +165,9 @@ proptest! {
         // Reconstruct waits from the per-user usage order isn't possible via
         // stats; instead compare total wait via the mean-wait of runs where
         // only one user is favored. Use priority factors as the oracle:
-        let fa = src.fairshare_factor(&GridUser::new("a"), t);
-        let fb = src.fairshare_factor(&GridUser::new("b"), t);
+        let (a, b) = (src.intern_user(&GridUser::new("a")), src.intern_user(&GridUser::new("b")));
+        let fa = src.fairshare_factor(a, t);
+        let fb = src.fairshare_factor(b, t);
         prop_assert!(fb >= fa, "b never below a after a's over-use: {fb} vs {fa}");
         waits.clear();
     }

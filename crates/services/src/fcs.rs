@@ -16,9 +16,11 @@
 //! under changed nodes are re-projected — except under projections without
 //! a per-user entry point (Dictionary re-ranks globally).
 //!
-//! The FCS also interns users into dense [`UserId`]s so the RMS-side hot
-//! path can query priorities by index instead of cloning `GridUser` keys.
-//! Ids are assigned on first sight, never reused, and survive full rebuilds.
+//! The precomputed factors live in one table indexed by interned
+//! [`UserId`]: users are interned on first sight (by the projection or by
+//! the RMS), ids are never reused and survive full rebuilds, and a by-name
+//! [`Fcs::query`] is an id lookup plus the same slot read the RMS-side hot
+//! path does by index.
 
 use crate::pds::Pds;
 use crate::ums::Ums;
@@ -36,9 +38,6 @@ struct FcsMetrics {
     refreshes: Counter,
     full_refreshes: Counter,
     queries: Counter,
-    /// Hot-path query counter — the id-indexed lookup gets a counter, not a
-    /// clock-reading span, to stay within the telemetry overhead budget.
-    id_queries: Counter,
     h_refresh_full: Histogram,
     h_refresh_incr: Histogram,
     h_query: Histogram,
@@ -51,7 +50,6 @@ impl FcsMetrics {
             refreshes: t.counter("aequus_fcs_refreshes_total"),
             full_refreshes: t.counter("aequus_fcs_full_refreshes_total"),
             queries: t.counter("aequus_fcs_queries_total"),
-            id_queries: t.counter("aequus_fcs_id_queries_total"),
             h_refresh_full: t.histogram("aequus_fcs_refresh_full_s"),
             h_refresh_incr: t.histogram("aequus_fcs_refresh_incremental_s"),
             h_query: t.histogram("aequus_fcs_query_s"),
@@ -66,13 +64,12 @@ pub struct Fcs {
     projection: Box<dyn Projection>,
     refresh_interval_s: f64,
     tree: Option<FairshareTree>,
-    factors: BTreeMap<GridUser, f64>,
+    /// Factor table indexed by [`UserId`]; `NaN` marks "no precomputed
+    /// factor" (the id is interned but the user is absent from the tree).
+    factors: Vec<f64>,
     /// Stable user interner: `GridUser` → dense id, assigned on first sight.
     user_ids: BTreeMap<GridUser, UserId>,
     users_by_id: Vec<GridUser>,
-    /// Factor table indexed by [`UserId`]; `NaN` marks "no precomputed
-    /// factor" (the id is interned but the user is absent from the tree).
-    factor_slots: Vec<f64>,
     last_refresh_s: Option<f64>,
     last_policy_version: u64,
     /// Next refresh must rebuild from scratch (projection switch). Tracked
@@ -114,10 +111,9 @@ impl Fcs {
             projection: projection.build(),
             refresh_interval_s,
             tree: None,
-            factors: BTreeMap::new(),
+            factors: Vec::new(),
             user_ids: BTreeMap::new(),
             users_by_id: Vec::new(),
-            factor_slots: Vec::new(),
             last_refresh_s: None,
             last_policy_version: 0,
             force_full: false,
@@ -154,8 +150,7 @@ impl Fcs {
     /// scratch.
     pub fn reset(&mut self) {
         self.tree = None;
-        self.factors.clear();
-        self.factor_slots.iter_mut().for_each(|v| *v = f64::NAN);
+        self.factors.fill(f64::NAN);
         self.last_refresh_s = None;
         self.force_full = true;
     }
@@ -211,7 +206,7 @@ impl Fcs {
                 }
             });
             let tree = FairshareTree::compute(pds.policy(), ums.usage(), &self.config, now_s);
-            self.factors = self.projection.project(&tree);
+            self.store_all(self.projection.project(&tree));
             self.last_recompute = RecomputeStats {
                 full: true,
                 nodes_recomputed: tree.node_count() as u64,
@@ -232,7 +227,7 @@ impl Fcs {
             let stats = tree.recompute_dirty(pds.policy(), ums.usage(), &dirty, now_s);
             if stats.full {
                 // The tree detected a structural mismatch and rebuilt.
-                self.factors = self.projection.project(&tree);
+                self.store_all(self.projection.project(&tree));
                 self.full_refreshes += 1;
                 self.metrics.full_refreshes.inc();
                 self.metrics.telemetry.event(now_s, "fcs.full_rebuild", || {
@@ -248,7 +243,8 @@ impl Fcs {
                 for user in &affected {
                     match self.projection.project_user(&tree, user) {
                         Some(f) => {
-                            self.factors.insert(user.clone(), f);
+                            let id = self.intern_user(user);
+                            self.factors[id.index()] = f;
                         }
                         None => {
                             // No per-user entry point (Dictionary): any
@@ -259,7 +255,7 @@ impl Fcs {
                     }
                 }
                 if global_projection && !affected.is_empty() {
-                    self.factors = self.projection.project(&tree);
+                    self.store_all(self.projection.project(&tree));
                 }
                 self.incremental_refreshes += 1;
             }
@@ -274,7 +270,6 @@ impl Fcs {
         }
 
         self.nodes_recomputed_total += self.last_recompute.nodes_recomputed;
-        self.sync_factor_slots();
         self.last_refresh_s = Some(now_s);
         self.last_policy_version = pds.version();
         self.refreshes += 1;
@@ -282,23 +277,14 @@ impl Fcs {
         true
     }
 
-    /// Rebuild the id-indexed factor table from the factor map, interning
-    /// users seen for the first time. Flat `O(users)` — no tree work.
-    fn sync_factor_slots(&mut self) {
-        for slot in self.factor_slots.iter_mut() {
-            *slot = f64::NAN;
-        }
-        let mut new_users: Vec<GridUser> = Vec::new();
-        for (user, &factor) in &self.factors {
-            match self.user_ids.get(user) {
-                Some(id) => self.factor_slots[id.index()] = factor,
-                None => new_users.push(user.clone()),
-            }
-        }
-        for user in new_users {
-            let factor = self.factors[&user];
-            let id = self.intern_user(&user);
-            self.factor_slots[id.index()] = factor;
+    /// Replace the whole factor table with a full projection: every slot
+    /// goes to "no factor", then each projected user is interned and its
+    /// slot written.
+    fn store_all(&mut self, projected: BTreeMap<GridUser, f64>) {
+        self.factors.fill(f64::NAN);
+        for (user, factor) in &projected {
+            let id = self.intern_user(user);
+            self.factors[id.index()] = *factor;
         }
     }
 
@@ -311,7 +297,7 @@ impl Fcs {
         let id = UserId(self.users_by_id.len() as u32);
         self.user_ids.insert(user.clone(), id);
         self.users_by_id.push(user.clone());
-        self.factor_slots.push(f64::NAN);
+        self.factors.push(f64::NAN);
         id
     }
 
@@ -331,22 +317,25 @@ impl Fcs {
     pub fn query(&self, user: &GridUser) -> Option<f64> {
         let _span = self.metrics.h_query.start_timer();
         self.metrics.queries.inc();
-        self.factors.get(user).copied()
+        self.factor(self.id_of(user)?)
     }
 
-    /// Query by interned id: an index load instead of a map walk — the
-    /// RMS-side hot path (counter-only instrumentation; see `FcsMetrics`).
-    pub fn query_id(&self, id: UserId) -> Option<f64> {
-        self.metrics.id_queries.inc();
-        match self.factor_slots.get(id.index()) {
-            Some(f) if !f.is_nan() => Some(*f),
-            _ => None,
-        }
+    /// The precomputed factor of an interned user: one slot read, the
+    /// RMS-side hot path (uninstrumented; libaequus counts its misses).
+    pub fn factor(&self, id: UserId) -> Option<f64> {
+        self.factors
+            .get(id.index())
+            .copied()
+            .filter(|f| !f.is_nan())
     }
 
-    /// The precomputed factors for all users.
-    pub fn factors(&self) -> &BTreeMap<GridUser, f64> {
-        &self.factors
+    /// The precomputed factors of all users, in id order.
+    pub fn factors(&self) -> impl Iterator<Item = (&GridUser, f64)> {
+        self.users_by_id
+            .iter()
+            .zip(&self.factors)
+            .filter(|(_, f)| !f.is_nan())
+            .map(|(user, &f)| (user, f))
     }
 
     /// The last computed fairshare tree (for metrics and vector extraction).
@@ -572,11 +561,12 @@ mod tests {
 
             let mut fresh = Fcs::new(FairshareConfig::default(), kind, 0.0);
             fresh.refresh(&mut pds, &mut ums, 1.0);
-            assert_eq!(fcs.factors().len(), fresh.factors().len());
+            // Compared by user: the fresh FCS interns in projection order.
+            assert_eq!(fcs.factors().count(), fresh.factors().count());
             for (user, f) in fcs.factors() {
                 assert_eq!(
-                    f.to_bits(),
-                    fresh.factors()[user].to_bits(),
+                    Some(f.to_bits()),
+                    fresh.query(user).map(f64::to_bits),
                     "{kind:?} factor mismatch for {user:?}"
                 );
             }
@@ -591,16 +581,16 @@ mod tests {
         let id_a = fcs.id_of(&GridUser::new("a")).unwrap();
         let id_b = fcs.id_of(&GridUser::new("b")).unwrap();
         assert_ne!(id_a, id_b);
-        assert_eq!(fcs.query_id(id_a), fcs.query(&GridUser::new("a")));
+        assert_eq!(fcs.factor(id_a), fcs.query(&GridUser::new("a")));
 
         // Structural policy change forces a full rebuild; ids survive.
         pds.set_policy(flat_policy(&[("b", 0.4), ("c", 0.6)]).unwrap());
         fcs.refresh(&mut pds, &mut ums, 1.0);
         assert_eq!(fcs.id_of(&GridUser::new("b")), Some(id_b));
-        assert_eq!(fcs.query_id(id_b), fcs.query(&GridUser::new("b")));
+        assert_eq!(fcs.factor(id_b), fcs.query(&GridUser::new("b")));
         // "a" left the policy: its id persists but no factor is published.
         assert_eq!(fcs.id_of(&GridUser::new("a")), Some(id_a));
-        assert_eq!(fcs.query_id(id_a), None);
+        assert_eq!(fcs.factor(id_a), None);
         // "c" is new and got a fresh id, not a's.
         let id_c = fcs.id_of(&GridUser::new("c")).unwrap();
         assert_ne!(id_c, id_a);

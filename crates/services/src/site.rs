@@ -16,7 +16,7 @@ use aequus_core::fairshare::{FairshareConfig, FairshareTree};
 use aequus_core::policy::PolicyTree;
 use aequus_core::projection::ProjectionKind;
 use aequus_core::usage::{UsageRecord, UsageSummary};
-use aequus_core::{GridUser, SiteId, SystemUser};
+use aequus_core::{GridUser, SiteId, SystemUser, UserId};
 use aequus_store::{MemStorage, SiteStore, StoreConfig, StoreStats, WalRecord};
 use aequus_telemetry::{Telemetry, TraceCtx};
 use std::collections::VecDeque;
@@ -174,14 +174,12 @@ impl AequusSite {
         &self.timings
     }
 
-    /// RMS-facing: query the fairshare factor of a grid user (libaequus
-    /// cache → FCS precomputed values).
+    /// Query the fairshare factor of a grid user by name: the by-name
+    /// convenience over [`intern_user`](Self::intern_user) and
+    /// [`fairshare_by_id`](Self::fairshare_by_id).
     pub fn fairshare(&mut self, user: &GridUser, now_s: f64) -> f64 {
-        let value = self.lib.get_fairshare(&self.fcs, user, now_s);
-        if self.serving_trace.is_some() {
-            self.trace_query(user.clone(), value, now_s);
-        }
-        value
+        let id = self.intern_user(user);
+        self.fairshare_by_id(id, now_s)
     }
 
     /// Complete a sampled pipeline trace at the serving edge: a `lib.query`
@@ -189,8 +187,8 @@ impl AequusSite {
     /// recorded only when the served value is bit-identical to the current
     /// FCS factor, so every captured explanation replays to the value the
     /// RMS actually saw.
-    fn trace_query(&mut self, user: GridUser, value: f64, now_s: f64) {
-        let Some(fresh) = self.fcs.factors().get(&user).copied() else {
+    fn trace_query(&mut self, id: UserId, value: f64, now_s: f64) {
+        let (Some(fresh), Some(user)) = (self.fcs.factor(id), self.fcs.user_of(id)) else {
             return;
         };
         if fresh.to_bits() != value.to_bits() {
@@ -201,7 +199,7 @@ impl AequusSite {
             format!("served {value:?} for {user}")
         });
         if self.telemetry.provenance_enabled() {
-            if let Some(ex) = self.fcs.explain(&user) {
+            if let Some(ex) = self.fcs.explain(user) {
                 let trace_id = leaf.or(ctx).map_or(0, |c| c.trace_id);
                 self.telemetry
                     .record_provenance(now_s, user.as_str(), trace_id, ex.factor, || ex.to_json());
@@ -491,11 +489,11 @@ impl AequusSite {
         if self.fcs.refresh(&mut self.pds, &mut self.ums, now_s) {
             self.telemetry.trace_fcs_refresh(now_s);
             if let Some(rt) = self.refresh_trace.take() {
-                let users = self.fcs.factors().len();
+                let fcs = &self.fcs;
                 self.serving_trace =
                     self.telemetry
                         .child_span(Some(rt), "fcs.refresh", now_s, || {
-                            format!("tree recomputed, {users} users projected")
+                            format!("tree recomputed, {} users projected", fcs.factors().count())
                         });
             }
         }
@@ -529,17 +527,16 @@ impl AequusSite {
 
     /// RMS-facing: intern a grid user into a stable dense id for
     /// allocation-free priority queries on the scheduling hot path.
-    pub fn intern_user(&mut self, user: &GridUser) -> aequus_core::UserId {
+    pub fn intern_user(&mut self, user: &GridUser) -> UserId {
         self.fcs.intern_user(user)
     }
 
-    /// RMS-facing: query the fairshare factor by interned id.
-    pub fn fairshare_by_id(&mut self, id: aequus_core::UserId, now_s: f64) -> f64 {
-        let value = self.lib.get_fairshare_by_id(&self.fcs, id, now_s);
+    /// RMS-facing: query the fairshare factor of an interned user (libaequus
+    /// cache → FCS precomputed values).
+    pub fn fairshare_by_id(&mut self, id: UserId, now_s: f64) -> f64 {
+        let value = self.lib.get_fairshare(&self.fcs, id, now_s);
         if self.serving_trace.is_some() {
-            if let Some(user) = self.fcs.user_of(id).cloned() {
-                self.trace_query(user, value, now_s);
-            }
+            self.trace_query(id, value, now_s);
         }
         value
     }
@@ -616,6 +613,19 @@ mod tests {
         }
         let after = s.fairshare(&GridUser::new("a"), 560.0);
         assert!(after < before, "{after} !< {before}");
+    }
+
+    #[test]
+    fn by_name_and_by_id_queries_share_one_cache() {
+        let mut s = site(0, ParticipationMode::Full);
+        s.tick(0.0);
+        let a = GridUser::new("a");
+        let by_name = s.fairshare(&a, 1.0);
+        let id = s.intern_user(&a);
+        let by_id = s.fairshare_by_id(id, 2.0);
+        assert_eq!(by_name.to_bits(), by_id.to_bits());
+        assert_eq!(s.lib.fairshare_stats.misses, 1);
+        assert_eq!(s.lib.fairshare_stats.hits, 1, "served from the same cache");
     }
 
     #[test]

@@ -88,18 +88,16 @@ fn assert_matches_fresh(
 ) -> Result<(), String> {
     let mut fresh = Fcs::new(FairshareConfig::default(), kind, 0.0);
     fresh.refresh(pds, ums, now_s);
-    let (inc, full): (&BTreeMap<GridUser, f64>, &BTreeMap<GridUser, f64>) =
-        (fcs.factors(), fresh.factors());
-    if inc.len() != full.len() {
+    // Compared by user: the fresh FCS interns in projection order.
+    let (inc, full) = (fcs.factors().count(), fresh.factors().count());
+    if inc != full {
         return Err(format!(
-            "{kind:?} at t={now_s}: {} incremental factors vs {} full",
-            inc.len(),
-            full.len()
+            "{kind:?} at t={now_s}: {inc} incremental factors vs {full} full"
         ));
     }
-    for (user, f) in inc {
-        let g = full
-            .get(user)
+    for (user, f) in fcs.factors() {
+        let g = fresh
+            .query(user)
             .ok_or_else(|| format!("{kind:?} at t={now_s}: {user:?} missing from full"))?;
         if f.to_bits() != g.to_bits() {
             return Err(format!(

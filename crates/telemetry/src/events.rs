@@ -4,8 +4,6 @@
 //! a deployment runs.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 
 /// One structured event.
 #[derive(Clone, Debug, PartialEq)]
@@ -20,55 +18,67 @@ pub struct TelemetryEvent {
     pub detail: String,
 }
 
-/// The bounded event ring.
-#[derive(Debug)]
-pub struct EventRing {
+/// A bounded FIFO: keeps the newest `cap` items and evicts (and counts)
+/// the oldest in O(1). The event ring, the span and provenance stores and
+/// the profiler's span ring all keep their history in one.
+#[derive(Clone, Debug)]
+pub struct Ring<T> {
     cap: usize,
-    buf: Mutex<VecDeque<TelemetryEvent>>,
-    dropped: AtomicU64,
+    items: VecDeque<T>,
+    dropped: u64,
 }
 
-impl EventRing {
-    /// Create a ring holding at most `cap` events (minimum 1).
+impl<T> Ring<T> {
+    /// Create a ring holding at most `cap` items (minimum 1).
     pub fn new(cap: usize) -> Self {
-        let cap = cap.max(1);
         Self {
-            cap,
-            buf: Mutex::new(VecDeque::with_capacity(cap)),
-            dropped: AtomicU64::new(0),
+            cap: cap.max(1),
+            items: VecDeque::new(),
+            dropped: 0,
         }
     }
 
-    /// Append an event, evicting the oldest when full.
-    pub fn push(&self, ev: TelemetryEvent) {
-        let mut buf = self.buf.lock().expect("event ring poisoned");
-        if buf.len() == self.cap {
-            buf.pop_front();
-            self.dropped.fetch_add(1, Ordering::Relaxed);
+    /// Append an item, evicting the oldest when full.
+    pub fn push(&mut self, item: T) {
+        if self.items.len() >= self.cap {
+            self.items.pop_front();
+            self.dropped += 1;
         }
-        buf.push_back(ev);
+        self.items.push_back(item);
     }
 
-    /// The retained events, oldest first.
-    pub fn recent(&self) -> Vec<TelemetryEvent> {
-        self.buf
-            .lock()
-            .expect("event ring poisoned")
-            .iter()
-            .cloned()
-            .collect()
+    /// The retained items, oldest first.
+    pub fn items(&self) -> &VecDeque<T> {
+        &self.items
     }
 
-    /// Events evicted so far because the ring was full.
+    /// The retained items, oldest first, cloned out.
+    pub fn to_vec(&self) -> Vec<T>
+    where
+        T: Clone,
+    {
+        self.items.iter().cloned().collect()
+    }
+
+    /// Items evicted so far because the ring was full.
     pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
+        self.dropped
     }
 
     /// Ring capacity.
     pub fn capacity(&self) -> usize {
         self.cap
     }
+
+    /// Change the capacity (minimum 1). Items beyond a lowered capacity
+    /// are not dropped at once; each later push evicts one.
+    pub fn set_capacity(&mut self, cap: usize) {
+        self.cap = cap.max(1);
+    }
 }
+
+/// The bounded ring of recent notable events.
+pub type EventRing = Ring<TelemetryEvent>;
 
 #[cfg(test)]
 mod tests {
@@ -84,11 +94,11 @@ mod tests {
 
     #[test]
     fn wraparound_keeps_last_n() {
-        let ring = EventRing::new(4);
+        let mut ring = EventRing::new(4);
         for i in 0..10 {
             ring.push(ev(i));
         }
-        let kept = ring.recent();
+        let kept = ring.items();
         assert_eq!(kept.len(), 4);
         assert_eq!(kept[0].t_s, 6.0, "oldest retained is event 6");
         assert_eq!(kept[3].t_s, 9.0);
@@ -97,20 +107,20 @@ mod tests {
 
     #[test]
     fn under_capacity_drops_nothing() {
-        let ring = EventRing::new(8);
+        let mut ring = EventRing::new(8);
         ring.push(ev(0));
         ring.push(ev(1));
-        assert_eq!(ring.recent().len(), 2);
+        assert_eq!(ring.items().len(), 2);
         assert_eq!(ring.dropped(), 0);
         assert_eq!(ring.capacity(), 8);
     }
 
     #[test]
     fn zero_capacity_clamps_to_one() {
-        let ring = EventRing::new(0);
+        let mut ring = EventRing::new(0);
         ring.push(ev(0));
         ring.push(ev(1));
-        assert_eq!(ring.recent().len(), 1);
-        assert_eq!(ring.recent()[0].t_s, 1.0);
+        assert_eq!(ring.items().len(), 1);
+        assert_eq!(ring.items()[0].t_s, 1.0);
     }
 }

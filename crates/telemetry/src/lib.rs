@@ -45,7 +45,7 @@ pub mod slo;
 pub mod span;
 pub mod tracer;
 
-pub use events::{EventRing, TelemetryEvent};
+pub use events::{EventRing, Ring, TelemetryEvent};
 pub use hist::{Histogram, HistogramSnapshot, SpanTimer};
 pub use profile::{ProfileMode, RunProfile, ShardProfile, ShardProfiler, StageStats};
 pub use registry::{Counter, Gauge, Registry, Snapshot};
@@ -61,7 +61,7 @@ use tracer::{PipelineTracer, TracerConfig};
 #[derive(Debug)]
 struct Inner {
     registry: Registry,
-    events: EventRing,
+    events: Mutex<EventRing>,
     tracer: Mutex<PipelineTracer>,
     /// Number of in-flight traces; lets the per-query `trace_*` fast paths
     /// skip the tracer mutex entirely while nothing is being traced.
@@ -113,7 +113,7 @@ impl Telemetry {
         Self {
             inner: Some(Arc::new(Inner {
                 registry,
-                events: EventRing::new(event_capacity),
+                events: Mutex::new(EventRing::new(event_capacity)),
                 tracer: Mutex::new(tracer),
                 tracer_active: AtomicU64::new(0),
                 spans: Mutex::new(SpanStore::new(spans.site, spans.store_cap)),
@@ -159,24 +159,27 @@ impl Telemetry {
     /// domain time, or `-1.0` where the call site has no clock.
     pub fn event(&self, t_s: f64, kind: &'static str, detail: impl FnOnce() -> String) {
         if let Some(i) = &self.inner {
-            i.events.push(TelemetryEvent {
+            let ev = TelemetryEvent {
                 t_s,
                 kind: kind.to_string(),
                 detail: detail(),
-            });
+            };
+            i.events.lock().expect("event ring poisoned").push(ev);
         }
     }
 
     /// The retained events, oldest first (empty when disabled).
     pub fn recent_events(&self) -> Vec<TelemetryEvent> {
-        self.inner
-            .as_ref()
-            .map_or_else(Vec::new, |i| i.events.recent())
+        self.inner.as_ref().map_or_else(Vec::new, |i| {
+            i.events.lock().expect("event ring poisoned").to_vec()
+        })
     }
 
     /// Events evicted from the ring so far.
     pub fn events_dropped(&self) -> u64 {
-        self.inner.as_ref().map_or(0, |i| i.events.dropped())
+        self.inner.as_ref().map_or(0, |i| {
+            i.events.lock().expect("event ring poisoned").dropped()
+        })
     }
 
     /// Snapshot every registered metric plus the retained event ring;
@@ -184,8 +187,8 @@ impl Telemetry {
     pub fn snapshot(&self) -> Option<Snapshot> {
         self.inner.as_ref().map(|i| {
             let mut snap = i.registry.snapshot();
-            snap.events = i.events.recent();
-            snap.events_dropped = i.events.dropped();
+            snap.events = self.recent_events();
+            snap.events_dropped = self.events_dropped();
             snap
         })
     }
@@ -352,7 +355,9 @@ impl Telemetry {
                 .lock()
                 .expect("span store poisoned")
                 .spans()
-                .to_vec()
+                .iter()
+                .cloned()
+                .collect()
         })
     }
 
@@ -406,7 +411,6 @@ impl Telemetry {
             i.provenance
                 .lock()
                 .expect("provenance store poisoned")
-                .records()
                 .to_vec()
         })
     }

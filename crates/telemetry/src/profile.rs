@@ -34,8 +34,9 @@
 //! same wall clock, so share-of-total comparisons (the `bench_diff`
 //! attribution) stay meaningful.
 
+use crate::events::Ring;
 use crate::export::{json_escape, JsonValue};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::time::Instant;
 
 /// How much the profiler records.
@@ -109,9 +110,7 @@ pub struct ShardProfiler {
     shard: usize,
     origin: Instant,
     stages: BTreeMap<&'static str, StageStats>,
-    spans: VecDeque<ProfSpan>,
-    span_cap: usize,
-    spans_dropped: u64,
+    spans: Ring<ProfSpan>,
     /// Bytes staged toward each destination shard (gossip wire accounting
     /// per link; deterministic).
     link_bytes: BTreeMap<usize, u64>,
@@ -134,9 +133,7 @@ impl ShardProfiler {
             shard,
             origin,
             stages: BTreeMap::new(),
-            spans: VecDeque::new(),
-            span_cap: DEFAULT_SPAN_CAP,
-            spans_dropped: 0,
+            spans: Ring::new(DEFAULT_SPAN_CAP),
             link_bytes: BTreeMap::new(),
             open: None,
         }
@@ -214,7 +211,7 @@ impl ShardProfiler {
         let e = self.stages.entry("epoch").or_default();
         e.calls += 1;
         e.wall_ns = e.wall_ns.saturating_add(dur_ns);
-        self.push_span(ProfSpan {
+        self.spans.push(ProfSpan {
             name: "epoch".to_string(),
             epoch,
             limit_s,
@@ -236,7 +233,7 @@ impl ShardProfiler {
         e.wall_ns = e.wall_ns.saturating_add(dur_ns);
         if self.mode == ProfileMode::Full {
             let now_ns = self.origin.elapsed().as_nanos() as u64;
-            self.push_span(ProfSpan {
+            self.spans.push(ProfSpan {
                 name: "barrier.wait".to_string(),
                 epoch,
                 limit_s,
@@ -247,17 +244,9 @@ impl ShardProfiler {
         }
     }
 
-    fn push_span(&mut self, span: ProfSpan) {
-        if self.spans.len() >= self.span_cap {
-            self.spans.pop_front();
-            self.spans_dropped += 1;
-        }
-        self.spans.push_back(span);
-    }
-
     /// Override the span-ring capacity (tests exercise the bound).
     pub fn set_span_cap(&mut self, cap: usize) {
-        self.span_cap = cap.max(1);
+        self.spans.set_capacity(cap);
     }
 
     /// Snapshot into the owned, serializable per-shard profile. The caller
@@ -271,8 +260,8 @@ impl ShardProfiler {
                 .iter()
                 .map(|(k, v)| (k.to_string(), *v))
                 .collect(),
-            spans: self.spans.iter().cloned().collect(),
-            spans_dropped: self.spans_dropped,
+            spans: self.spans.to_vec(),
+            spans_dropped: self.spans.dropped(),
             link_bytes: self.link_bytes.clone(),
             queue_hwm: 0,
         }

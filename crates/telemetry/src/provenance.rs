@@ -9,6 +9,8 @@
 //! `aequus_core::explain::Explanation::from_json` reproduces the served
 //! priority bit-for-bit.
 
+use crate::events::Ring;
+
 /// One captured decision.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ProvenanceRecord {
@@ -26,45 +28,12 @@ pub struct ProvenanceRecord {
 }
 
 /// Bounded FIFO store of [`ProvenanceRecord`]s.
-#[derive(Debug)]
-pub struct ProvenanceStore {
-    cap: usize,
-    records: Vec<ProvenanceRecord>,
-    dropped: u64,
-}
+pub type ProvenanceStore = Ring<ProvenanceRecord>;
 
 impl ProvenanceStore {
-    /// Create a store holding at most `cap` records (minimum 1).
-    pub fn new(cap: usize) -> Self {
-        Self {
-            cap: cap.max(1),
-            records: Vec::new(),
-            dropped: 0,
-        }
-    }
-
-    /// Append a record, evicting the oldest when full.
-    pub fn push(&mut self, rec: ProvenanceRecord) {
-        if self.records.len() == self.cap {
-            self.records.remove(0);
-            self.dropped += 1;
-        }
-        self.records.push(rec);
-    }
-
-    /// The retained records, oldest first.
-    pub fn records(&self) -> &[ProvenanceRecord] {
-        &self.records
-    }
-
     /// The latest captured decision for `user`, if retained.
     pub fn latest_for(&self, user: &str) -> Option<&ProvenanceRecord> {
-        self.records.iter().rev().find(|r| r.user == user)
-    }
-
-    /// Records evicted because the store was full.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
+        self.items().iter().rev().find(|r| r.user == user)
     }
 }
 
@@ -88,9 +57,9 @@ mod tests {
         s.push(rec("a", 0.0));
         s.push(rec("b", 1.0));
         s.push(rec("c", 2.0));
-        assert_eq!(s.records().len(), 2);
+        assert_eq!(s.items().len(), 2);
         assert_eq!(s.dropped(), 1);
-        assert_eq!(s.records()[0].user, "b");
+        assert_eq!(s.items()[0].user, "b");
     }
 
     #[test]

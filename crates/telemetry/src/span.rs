@@ -20,8 +20,9 @@
 //! cost on the hot path is one branch per report (the ctx stays `None`, so
 //! no downstream stage does any work).
 
+use crate::events::Ring;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
 /// The causal context attached to an in-flight traced record: which trace it
 /// belongs to and which span is the causal parent of the next hop.
@@ -98,9 +99,7 @@ impl SpanConfig {
 /// each own one and a [`SpanTree`] merges them.
 #[derive(Debug)]
 pub struct SpanStore {
-    cap: usize,
-    spans: Vec<SpanRecord>,
-    dropped: u64,
+    spans: Ring<SpanRecord>,
     /// Next local span sequence number (combined with the site tag).
     next_seq: u64,
     site: u32,
@@ -113,9 +112,7 @@ impl SpanStore {
     /// Create a store for `site` holding at most `cap` spans.
     pub fn new(site: u32, cap: usize) -> Self {
         Self {
-            cap: cap.max(1),
-            spans: Vec::new(),
-            dropped: 0,
+            spans: Ring::new(cap),
             next_seq: 0,
             site,
         }
@@ -130,21 +127,17 @@ impl SpanStore {
 
     /// Append a span, evicting the oldest when full.
     pub fn push(&mut self, span: SpanRecord) {
-        if self.spans.len() == self.cap {
-            self.spans.remove(0);
-            self.dropped += 1;
-        }
         self.spans.push(span);
     }
 
     /// The retained spans, oldest first.
-    pub fn spans(&self) -> &[SpanRecord] {
-        &self.spans
+    pub fn spans(&self) -> &VecDeque<SpanRecord> {
+        self.spans.items()
     }
 
     /// Spans evicted because the store was full.
     pub fn dropped(&self) -> u64 {
-        self.dropped
+        self.spans.dropped()
     }
 
     /// The owning site.

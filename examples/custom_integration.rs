@@ -71,7 +71,7 @@ fn main() {
             let grid = site
                 .resolve_identity(&job.user, now)
                 .expect("identity mapped");
-            let factor = site.fairshare_factor(&grid, now);
+            let factor = site.fairshare(&grid, now);
             if best.is_none_or(|(_, f)| factor > f) {
                 best = Some((idx, factor));
             }
